@@ -12,19 +12,18 @@ for.
 The second half is the shard sweep: workload C at a serving-scale
 keyspace (``SHARD_RECORDS`` resident keys) against the single-process
 batched server and against ``repro serve --shards N`` for N in 2/4/8,
-at 16/64/256 concurrent clients.  The enclave KV index walks its full
-bucket chain on every operation, so per-op interpreter cost grows
-linearly with resident keys — sharding divides the resident set, and
-each shard's enclave walks a chain ~N times shorter.  That
-algorithmic division (not process parallelism; the reference host has
-one CPU) is where the order-of-magnitude ops/s jump comes from, and
-the sweep measures it honestly: same workload, same total ops, same
-keyspace, only the shard count varies.
+at 16/64/256 concurrent clients: same workload, same total ops, same
+keyspace, only the shard count varies.  The enclave KV index is sized
+to this keyspace (``NBUCKETS`` = ``SHARD_RECORDS``), so a chain walk
+is about one entry whatever the shard count.  The committed
+``BENCH_serve.json`` predates that: it was measured on a 64-bucket
+index whose chains sharding shortened N-fold, and most of its shard
+speedup is that.
 
 The last section is the engine comparison: the same single-process
 batched server on the ``decoded`` vs ``traced`` interpreter tiers
-(workload C, 16 clients) — the measured serve-path p50/p99 payoff of
-the trace tier the engine defaults to.
+(workload C, 16 clients) — the measured serve-path p50/p99 of each
+tier; serving runs on ``decoded``.
 
 Results go to ``BENCH_serve.json`` at the repo root (ops/s and
 p50/p95/p99 per cell) plus the usual benchmark report.  Smoke mode
@@ -70,7 +69,7 @@ ENGINE_COMPARE_CLIENTS = 4 if SMOKE else 16
 def _run_cell(program, workload, clients, batch, seed, engine=None):
     """One (workload, clients, batch) measurement: fresh server,
     fresh cache, shared compiled program.  ``engine`` picks the
-    interpreter tier (None = the serving default, traced)."""
+    interpreter tier (None = the serving default, decoded)."""
     config = ServeConfig(port=0, batch=batch, queue_depth=256)
     with ServerThread(config,
                       engine=SecureKVEngine(program=program,
@@ -134,10 +133,8 @@ def run_serve_comparison():
 def run_engine_comparison(program):
     """Traced vs decoded on the live serve path: one single-process
     batched server per engine tier, workload C at
-    ``ENGINE_COMPARE_CLIENTS`` concurrent clients.  The serve drive
-    loop re-enters the same hot KV chunks on every batch — exactly
-    the re-entry pattern the trace tier amortizes — so this is the
-    measured (not modeled) payoff of serving on ``traced``."""
+    ``ENGINE_COMPARE_CLIENTS`` concurrent clients: the measured (not
+    modeled) case for the serving default."""
     cells = {}
     for engine in ("decoded", "traced"):
         cells[engine] = _run_cell(program, "C",

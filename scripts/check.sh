@@ -154,6 +154,56 @@ print(f"serve smoke: {report['ops']} ops over TCP OK "
       f"mean batch {hist.mean:.1f}, drained cleanly)")
 PYEOF
 
+# Served-KV cost smoke: preload 1024 keys, then 256 seeded mixed
+# ops with every reply checked against a dict model. Steps and
+# messages are exact counts, so the gate holds on any host: messages
+# per request must equal the protocol's 911/256 (a change here means
+# the protocol or partition changed), and steps per request must stay
+# at or below 60 (58.11 measured).
+python - <<'PYEOF'
+import random
+
+from repro.serve.engine import SecureKVEngine, compile_secure_kv
+
+engine = SecureKVEngine(program=compile_secure_kv())
+digest = SecureKVEngine.digest
+rng = random.Random(14)
+keys = [f"key{i}" for i in range(1024)]
+candidates = keys + ["absent"]
+model = {key: b"v0-" + key.encode() for key in keys}
+for start in range(0, len(keys), 64):
+    engine.execute([("set", key, model[key])
+                    for key in keys[start:start + 64]])
+ops, expected = [], []
+for _ in range(256):
+    key = rng.choice(candidates)
+    roll = rng.random()
+    if roll < 0.5:
+        ops.append(("get", key))
+        expected.append(digest(model[key]) if key in model else 0)
+    elif roll < 0.9:
+        value = b"%d" % rng.randrange(1 << 30)
+        ops.append(("set", key, value))
+        model[key] = value
+        expected.append(1)
+    else:
+        ops.append(("delete", key))
+        expected.append(1 if model.pop(key, None) is not None else 0)
+steps, messages = engine.steps, engine.runtime.stats.messages
+replies = []
+for start in range(0, len(ops), 16):
+    replies += engine.execute(ops[start:start + 16])
+assert replies == expected, "kv smoke: a reply disagrees with the model"
+steps = engine.steps - steps
+messages = engine.runtime.stats.messages - messages
+print(f"kv smoke: {len(ops)} ops over {len(keys)} keys, every reply "
+      f"checked: {steps / len(ops):.2f} steps/request, "
+      f"{messages / len(ops):.3f} messages/request")
+assert messages == 911, f"kv smoke: {messages} messages, expected 911"
+assert steps <= 60 * len(ops), \
+    f"kv smoke: {steps / len(ops):.2f} steps/request, bound 60"
+PYEOF
+
 # Sharded-serve smoke: 2 shard-worker processes behind the
 # consistent-hash router, a YCSB-A run through real sockets, then a
 # shard-kill recovery check — the deterministic crash fuse fires

@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="untrusted cache LRU capacity")
     serve.add_argument("--engine", choices=list(ENGINES),
                        default=None,
-                       help="interpreter engine (default: traced, "
+                       help="interpreter engine (default: decoded, "
                             "or REPRO_ENGINE)")
     serve.add_argument("--max-steps", type=int,
                        default=50_000_000, metavar="N",

@@ -24,7 +24,6 @@ served.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
@@ -67,9 +66,10 @@ class SecureKVEngine:
         :func:`compile_secure_kv`); compiled on demand if omitted.
     engine:
         Interpreter engine name (``decoded``/``traced``/``legacy``),
-        like the CLI's ``--engine``.  Serving defaults to ``traced``
-        (the drive loop re-enters the same hot KV chunks thousands of
-        times, exactly what the trace tier amortizes); ``REPRO_ENGINE``
+        like the CLI's ``--engine``.  Serving uses the interpreter's
+        default, ``decoded``, which serves faster than ``traced``
+        (the KV chunks' chain walks are about one entry long, so the
+        trace tier has no hot loop to amortize); ``REPRO_ENGINE``
         still wins when set.
     max_steps:
         Per-drive scheduler step budget.
@@ -84,8 +84,6 @@ class SecureKVEngine:
     def __init__(self, program=None, engine: Optional[str] = None,
                  max_steps: int = 50_000_000,
                  watchdog_steps: Optional[int] = None):
-        if engine is None:
-            engine = os.environ.get("REPRO_ENGINE") or "traced"
         self.program = program if program is not None \
             else compile_secure_kv()
         self._feed: deque = deque()

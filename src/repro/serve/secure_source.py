@@ -27,10 +27,24 @@ Coloring notes (all paper rules, found the hard way):
   actual payload (like the paper's memcached keeps values in unsafe
   memory) and the enclave keeps an authenticated digest per key — the
   server cross-checks every response against it.
+
+The index:
+
+* Every digest has its low bit forced to 1 (so none equals the ``0``
+  miss reply), so the bucket is taken from the bits above it,
+  ``(k >> 1) % NBUCKETS``; ``k % NBUCKETS`` would put every key in an
+  odd bucket and leave half the table empty.
+* :data:`NBUCKETS` is a fixed constant sized to the largest resident
+  key count any shipped serve path loads (16384, the
+  ``benchmarks/bench_serve.py`` shard sweep), so chains stay at or
+  below about one entry on every shipped load. It is deliberately not
+  a knob, and the index deliberately does not rehash on grow: an
+  in-enclave resize would add code to the trusted computing base and
+  compile time to the served program, to serve loads nothing ships.
 """
 
 #: Number of hash buckets in the enclave-side index.
-NBUCKETS = 64
+NBUCKETS = 16384
 
 #: Request opcodes of the feed protocol (``next_request`` values).
 OP_GET = 1
@@ -57,7 +71,7 @@ SECURE_KV_SOURCE = """
     long kv_set(long key, long value) {
         long k = classify(key);
         long v = classify(value);
-        long b = k %% %(nbuckets)d;
+        long b = (k >> 1) %% %(nbuckets)d;
         struct item* e = buckets[b];
         struct item* found = 0;
         while (e != 0) {
@@ -78,7 +92,7 @@ SECURE_KV_SOURCE = """
 
     long kv_get(long key) {
         long k = classify(key);
-        long b = k %% %(nbuckets)d;
+        long b = (k >> 1) %% %(nbuckets)d;
         struct item* e = buckets[b];
         long v = 0;
         while (e != 0) {
@@ -91,7 +105,7 @@ SECURE_KV_SOURCE = """
 
     long kv_del(long key) {
         long k = classify(key);
-        long b = k %% %(nbuckets)d;
+        long b = (k >> 1) %% %(nbuckets)d;
         struct item* e = buckets[b];
         struct item* prev = 0;
         struct item* target = 0;
