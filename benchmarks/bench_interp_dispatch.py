@@ -1,5 +1,5 @@
 """Dispatch micro-benchmark — legacy isinstance dispatch vs the
-pre-decoded closure engine vs the trace/superinstruction tier.
+pre-decoded closure engine.
 
 Measures interpreted steps/sec on three workloads:
 
@@ -18,6 +18,9 @@ Results go to ``BENCH_interp.json`` at the repo root so future PRs
 have a perf trajectory, and to the usual benchmark report.  Smoke
 mode (``REPRO_BENCH_SMOKE=1`` or ``--smoke``) shrinks the workloads
 to run in well under a second for CI.
+
+Regenerate the committed file with
+``PYTHONPATH=src python benchmarks/bench_interp_dispatch.py``.
 """
 
 import json
@@ -142,6 +145,9 @@ def run_dispatch_comparison(repeat: int = 3):
     results = {
         "meta": {
             "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "command": "PYTHONPATH=src python "
+                       "benchmarks/bench_interp_dispatch.py",
             "smoke": SMOKE,
             "engines": list(ENGINES),
             "litmus_iters": LITMUS_ITERS,
@@ -153,21 +159,15 @@ def run_dispatch_comparison(repeat: int = 3):
     }
     for name, make in workloads.items():
         timings = {engine: measure(make(engine), repeat=repeat)
-                   for engine in ("legacy", "decoded", "traced")}
-        for engine in ("decoded", "traced"):
-            if timings["legacy"].steps != timings[engine].steps:
-                raise RuntimeError(
-                    f"{name}: engines disagree on step count "
-                    f"(legacy {timings['legacy'].steps} vs {engine} "
-                    f"{timings[engine].steps})")
+                   for engine in ("legacy", "decoded")}
+        if timings["legacy"].steps != timings["decoded"].steps:
+            raise RuntimeError(
+                f"{name}: engines disagree on step count "
+                f"(legacy {timings['legacy'].steps} vs decoded "
+                f"{timings['decoded'].steps})")
         entry = {engine: t.as_dict() for engine, t in timings.items()}
         entry["speedup"] = round(speedup(timings["legacy"],
                                          timings["decoded"]), 2)
-        entry["traced_speedup"] = round(speedup(timings["legacy"],
-                                                timings["traced"]), 2)
-        entry["traced_vs_decoded"] = round(speedup(timings["decoded"],
-                                                   timings["traced"]),
-                                           2)
         results["workloads"][name] = entry
     return results
 
@@ -190,7 +190,7 @@ def write_json(results) -> str:
 
 def regenerate_dispatch_report() -> Report:
     report = Report("interp_dispatch",
-                    "Dispatch: legacy vs pre-decoded vs traced")
+                    "Dispatch: legacy vs pre-decoded")
     results = run_dispatch_comparison()
     rows = []
     for name, entry in results["workloads"].items():
@@ -198,18 +198,13 @@ def regenerate_dispatch_report() -> Report:
                      entry["legacy"]["steps"],
                      entry["legacy"]["steps_per_sec"],
                      entry["decoded"]["steps_per_sec"],
-                     entry["traced"]["steps_per_sec"],
-                     f"{entry['speedup']:.2f}x",
-                     f"{entry['traced_speedup']:.2f}x"))
+                     f"{entry['speedup']:.2f}x"))
     report.table(("workload", "steps", "legacy steps/s",
-                  "decoded steps/s", "traced steps/s", "decoded x",
-                  "traced x"), rows)
+                  "decoded steps/s", "decoded x"), rows)
     report.add()
     fig7 = results["workloads"]["fig7"]["speedup"]
-    fig7_traced = results["workloads"]["fig7"]["traced_vs_decoded"]
     proto = results["workloads"]["fig7_protocol"]["speedup"]
-    report.add(f"Fig 7 workload speedup: {fig7:.2f}x decoded, "
-               f"traced {fig7_traced:.2f}x on top "
+    report.add(f"Fig 7 workload speedup: {fig7:.2f}x decoded "
                f"(protocol-only floor: {proto:.2f}x — the spawn/cont "
                f"message protocol is engine-independent work)")
     path = write_json(results)
@@ -224,8 +219,6 @@ def regenerate_dispatch_report() -> Report:
     if not SMOKE:
         assert fig7 >= 5.0, \
             f"pre-decoded engine below 5x on fig7: {fig7:.2f}x"
-        assert fig7_traced >= 2.5, \
-            f"trace tier below 2.5x decoded on fig7: {fig7_traced:.2f}x"
     return report
 
 

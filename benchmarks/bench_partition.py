@@ -1,10 +1,10 @@
-"""Partition-quality report — what each placement policy buys.
+"""Partition-quality report — what the kl placement policy buys.
 
 For three workloads — the paper's Figure 6/7 running example
 (relaxed), the minicache application (hardened, ``run_cache(50)``)
 and the served KV engine (hardened, a deterministic op trace through
 ``secure_batch``) — this benchmark compiles the program once per
-placement policy (``none`` / ``kl`` / ``profile``) and measures what
+placement policy (``none`` / ``kl``) and measures what
 the optimizer actually changed:
 
 * **messages** — runtime protocol messages observed on the channel
@@ -17,19 +17,18 @@ the optimizer actually changed:
 * **modeled cost** — the SGX cost model's cycle estimate for the
   static protocol traffic (``repro.core.placement.PartitionGraph``).
 
-The ``profile`` arm closes the loop the CLI exposes as
-``--profile-out`` / ``--profile-in``: the fault-free ``none`` run's
-measured channel traffic becomes the profile the policy consumes.
-
-The hard safety rail rides along: for every workload, every optimized
-arm must produce byte-identical results and stdout on all three
-interpreter engines (decoded / traced / legacy) — a placement that
+The hard safety rail rides along: for every workload, the optimized
+arm must produce byte-identical results and stdout on both
+interpreter engines (decoded / legacy) — a placement that
 changes observable behavior is a bug, not an optimization.
 
 Results go to ``BENCH_partition.json`` at the repo root (smoke mode:
 ``BENCH_partition.smoke.json``), which ``scripts/check.sh`` gates on:
 ``kl`` must never model worse than ``none``, and the best measured
 message reduction must clear the 20% bar.
+
+Regenerate the committed file with
+``PYTHONPATH=src python benchmarks/bench_partition.py``.
 """
 
 import json
@@ -45,9 +44,9 @@ from repro.apps.minicache.minic_source import (DECLASSIFY_EXTERNALS,
 from repro.bench import Report
 from repro.core.colors import HARDENED, RELAXED
 from repro.core.compiler import PrivagicCompiler
+from repro.ir.interp import ENGINES
 from repro.core.placement import (optimize_placement, partition_stats,
-                                  placement_report,
-                                  profile_from_runtime)
+                                  placement_report)
 from repro.runtime import run_partitioned
 from repro.serve.engine import SecureKVEngine
 
@@ -55,8 +54,7 @@ pytestmark = pytest.mark.slow
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-POLICY_ARMS = ("none", "kl", "profile")
-ENGINES = ("decoded", "traced", "legacy")
+POLICY_ARMS = ("none", "kl")
 
 MINICACHE_OPS = 50
 SERVE_OPS = 32 if SMOKE else 96
@@ -127,11 +125,9 @@ def _measure_workload(name, mode, source, run_fn):
     engine, assert the differential rail, and collect the metrics."""
     arms = {}
     baselines = None
-    profile = None
     for policy in POLICY_ARMS:
         compiler = PrivagicCompiler(
-            mode, optimize=None if policy == "none" else policy,
-            profile=profile if policy == "profile" else None)
+            mode, optimize=None if policy == "none" else policy)
         program = compiler.compile_source(source)
         runs = {engine: run_fn(program, engine) for engine in ENGINES}
         for engine in ENGINES:
@@ -147,9 +143,6 @@ def _measure_workload(name, mode, source, run_fn):
                 f"the none-policy baseline")
         if policy == "none":
             baselines = runs
-            # The profile arm consumes the traffic this run measured
-            # (the --profile-out / --profile-in round trip).
-            profile = profile_from_runtime(runs["decoded"]["runtime"])
             _, graph, decisions = optimize_placement(
                 compiler.analysis, "none")
             report = placement_report(graph, decisions)
@@ -195,6 +188,9 @@ def run_partition_comparison():
     results = {
         "meta": {
             "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "command": "PYTHONPATH=src python "
+                       "benchmarks/bench_partition.py",
             "smoke": SMOKE,
             "policies": list(POLICY_ARMS),
             "engines": list(ENGINES),
@@ -244,7 +240,7 @@ def write_json(results) -> str:
 
 def regenerate_partition_report() -> Report:
     report = Report("partition_quality",
-                    "Partition quality: placement policies vs none")
+                    "Partition quality: kl placement vs none")
     results = run_partition_comparison()
     for name, workload in results["workloads"].items():
         report.add(f"{name} ({workload['mode']} mode):")
@@ -263,8 +259,8 @@ def regenerate_partition_report() -> Report:
                       "tcb instrs", "modeled cycles", "msg delta"),
                      rows)
         report.add()
-    report.add("differential rail: every optimized arm byte-identical "
-               "to none on decoded/traced/legacy engines")
+    report.add("differential rail: the optimized arm byte-identical "
+               "to none on decoded/legacy engines")
     best = results["meta"]["best_kl_message_reduction_pct"]
     report.add(f"best kl message reduction (fig7/minicache): "
                f"{best:.1f}% (gate: >= 20%)")

@@ -20,11 +20,6 @@ is about one entry whatever the shard count.  The committed
 index whose chains sharding shortened N-fold, and most of its shard
 speedup is that.
 
-The last section is the engine comparison: the same single-process
-batched server on the ``decoded`` vs ``traced`` interpreter tiers
-(workload C, 16 clients) — the measured serve-path p50/p99 of each
-tier; serving runs on ``decoded``.
-
 Results go to ``BENCH_serve.json`` at the repo root (ops/s and
 p50/p95/p99 per cell) plus the usual benchmark report.  Smoke mode
 (``REPRO_BENCH_SMOKE=1`` or ``--smoke``) shrinks the op counts and
@@ -62,18 +57,13 @@ SHARD_RECORDS = 128 if SMOKE else 16384
 SHARD_OPS_TOTAL = 96 if SMOKE else 1600
 SHARD_WORKLOAD = "C"
 
-# The engine comparison: traced vs decoded, single shard.
-ENGINE_COMPARE_CLIENTS = 4 if SMOKE else 16
 
-
-def _run_cell(program, workload, clients, batch, seed, engine=None):
+def _run_cell(program, workload, clients, batch, seed):
     """One (workload, clients, batch) measurement: fresh server,
-    fresh cache, shared compiled program.  ``engine`` picks the
-    interpreter tier (None = the serving default, decoded)."""
+    fresh cache, shared compiled program."""
     config = ServeConfig(port=0, batch=batch, queue_depth=256)
     with ServerThread(config,
-                      engine=SecureKVEngine(program=program,
-                                            engine=engine)) as st:
+                      engine=SecureKVEngine(program=program)) as st:
         report = run_load("127.0.0.1", st.server.port,
                           workload=workload, clients=clients,
                           ops=OPS_PER_CLIENT * clients,
@@ -126,33 +116,7 @@ def run_serve_comparison():
             per_clients[str(clients)] = cell
         results["workloads"][workload] = per_clients
     results["shard_sweep"] = run_shard_sweep(program)
-    results["engine_compare"] = run_engine_comparison(program)
     return results
-
-
-def run_engine_comparison(program):
-    """Traced vs decoded on the live serve path: one single-process
-    batched server per engine tier, workload C at
-    ``ENGINE_COMPARE_CLIENTS`` concurrent clients: the measured (not
-    modeled) case for the serving default."""
-    cells = {}
-    for engine in ("decoded", "traced"):
-        cells[engine] = _run_cell(program, "C",
-                                  ENGINE_COMPARE_CLIENTS, 16,
-                                  seed=31, engine=engine)
-    return {
-        "meta": {
-            "workload": "C",
-            "clients": ENGINE_COMPARE_CLIENTS,
-            "shards": 1,
-            "batch": 16,
-            "ops": OPS_PER_CLIENT * ENGINE_COMPARE_CLIENTS,
-        },
-        "decoded": cells["decoded"],
-        "traced": cells["traced"],
-        "traced_speedup": round(cells["traced"]["ops_per_s"]
-                                / cells["decoded"]["ops_per_s"], 2),
-    }
 
 
 def _measure_load(port, clients, preload):
@@ -289,17 +253,6 @@ def regenerate_serve_report() -> Report:
                          f"{ratio:.2f}x"))
     report.table(("server", "clients", "ops/s", "p99 ms",
                   "vs single"), rows)
-    compare = results["engine_compare"]
-    report.add()
-    report.add(f"engine compare: workload C, single shard, "
-               f"{compare['meta']['clients']} clients")
-    report.table(("engine", "ops/s", "p50 ms", "p99 ms"),
-                 [(engine, compare[engine]["ops_per_s"],
-                   compare[engine]["p50_ms"],
-                   compare[engine]["p99_ms"])
-                  for engine in ("decoded", "traced")])
-    report.add(f"traced vs decoded: "
-               f"{compare['traced_speedup']:.2f}x ops/s")
     path = write_json(results)
     report.add(f"machine-readable results: {os.path.basename(path)}")
     if not SMOKE:

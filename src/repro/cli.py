@@ -57,14 +57,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="print a per-pass wall-time table (stderr)")
     parser.add_argument("--optimize", metavar="POLICY", default=None,
                         help="placement policy for the "
-                             "optimize-placement pass: none (default), "
-                             "kl (Kernighan-Lin boundary refinement) "
-                             "or profile (needs --profile-in)")
-    parser.add_argument("--profile-in", metavar="PROFILE.json",
-                        default=None,
-                        help="measured traffic profile from a prior "
-                             "run's --profile-out; drives "
-                             "--optimize profile")
+                             "optimize-placement pass: none (default) "
+                             "or kl (Kernighan-Lin boundary "
+                             "refinement)")
     parser.add_argument("--partition-stats", action="store_true",
                         help="print the per-color partition table "
                              "(chunks, instructions, TCB, boundary "
@@ -97,9 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="entry point (default: main)")
     run.add_argument("--engine", choices=list(ENGINES), default=None,
                      help="interpreter engine (default: decoded, or "
-                          "REPRO_ENGINE; 'traced' adds the hot-loop "
-                          "superinstruction tier, tunable via "
-                          "REPRO_TRACE_THRESHOLD)")
+                          "REPRO_ENGINE)")
     run.add_argument("--max-steps", type=int, default=None,
                      metavar="N",
                      help="abort the run after N scheduler steps")
@@ -122,10 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(load in chrome://tracing or Perfetto)")
     run.add_argument("--stats", action="store_true",
                      help="print the full metrics dump after the run")
-    run.add_argument("--profile-out", metavar="PROFILE.json",
-                     default=None,
-                     help="write the measured per-channel traffic "
-                          "after the run (feeds --optimize profile)")
     run.add_argument("args", nargs="*", type=int,
                      help="integer arguments for the entry point")
 
@@ -182,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chaos: shard K simulates an AEX (hard "
                             "process exit) after N operations "
                             "(requires --shards)")
-    serve.add_argument("--no-recover", action="store_true",
-                       help="do not restart dead shards; a shard "
-                            "death becomes a typed EnclaveCrash")
     serve.add_argument("--on-death", default="restart",
                        choices=["restart", "rebalance", "degrade",
                                 "fault"],
@@ -278,20 +264,12 @@ def _frontend_for(options):
     return resolve_frontend(options.frontend, options.file)
 
 
-def _profile_for(options) -> Optional[dict]:
-    if getattr(options, "profile_in", None) is None:
-        return None
-    from repro.core.placement import load_profile
-    return load_profile(options.profile_in)
-
-
 def _compiler_for(options, **kwargs) -> PrivagicCompiler:
     return PrivagicCompiler(
         mode=options.mode, passes=options.passes,
         time_passes=options.time_passes,
         print_after_each=options.print_after_each,
-        optimize=options.optimize, profile=_profile_for(options),
-        **kwargs)
+        optimize=options.optimize, **kwargs)
 
 
 def _print_partition_stats(ctx, program) -> None:
@@ -314,8 +292,7 @@ def cmd_analyze(options) -> int:
                           time_passes=options.time_passes,
                           print_after_each=options.print_after_each)
     ctx = manager.run(module, mode=options.mode,
-                      optimize=options.optimize,
-                      profile=_profile_for(options))
+                      optimize=options.optimize)
     result = ctx.analysis
     if result is None:
         print("pipeline ran no 'secure-types' pass; nothing to report",
@@ -437,13 +414,6 @@ def cmd_run(options) -> int:
     print(f"{options.entry}({', '.join(map(str, options.args))}) "
           f"= {result}")
     print(f"messages: {runtime.stats.as_dict()}")
-    if options.profile_out:
-        from repro.core.placement import (profile_from_runtime,
-                                          save_profile)
-        save_profile(options.profile_out,
-                     profile_from_runtime(runtime))
-        print(f"profile: wrote {options.profile_out} "
-              f"({runtime.stats.messages} message(s) measured)")
     if options.partition_stats:
         _print_partition_stats(compiler.context, program)
     if injector is not None:
@@ -571,7 +541,6 @@ def _cmd_serve_sharded(options) -> int:
         engine=options.engine, max_steps=options.max_steps,
         watchdog_steps=options.watchdog_steps,
         max_requests=options.max_requests,
-        recover=not options.no_recover,
         on_death=options.on_death,
         max_restarts=options.max_restarts,
         spawn_timeout=options.spawn_timeout,
@@ -594,8 +563,7 @@ def _cmd_serve_sharded(options) -> int:
     port = router.bind()
     print(f"serve: routing {options.host}:{port} over "
           f"{options.shards} shard(s) (batch={options.batch}, "
-          f"queue-depth={options.queue_depth}, "
-          f"recover={'on' if config.recover else 'off'})",
+          f"queue-depth={options.queue_depth})",
           flush=True)
     in_main = threading.current_thread() is threading.main_thread()
     previous_handler = None

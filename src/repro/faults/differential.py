@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import RuntimeFault
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.ir.interp import ENGINES
 from repro.runtime.executor import PrivagicRuntime
 
 IDENTICAL = "identical"
@@ -101,7 +102,7 @@ def classify(baseline: Outcome, outcome: Outcome) -> str:
 
 def chaos_sweep(program, seeds: Sequence[int],
                 entry: str = "main", args: Sequence[object] = (),
-                engines: Sequence[str] = ("decoded", "traced", "legacy"),
+                engines: Sequence[str] = ENGINES,
                 externals: Optional[dict] = None,
                 max_steps: int = 5_000_000) -> List[dict]:
     """Run one seeded random plan per (seed, engine) pair and classify
@@ -167,9 +168,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--entry", default="main")
     parser.add_argument("--mode", default="relaxed",
                         choices=["relaxed", "hardened"])
-    parser.add_argument("--engines", default="decoded,traced,legacy")
+    parser.add_argument("--engines", default=",".join(ENGINES))
     parser.add_argument("--optimize", default=None, metavar="POLICY",
-                        help="placement policy arm (none/kl/profile): "
+                        help="placement policy arm (none/kl): "
                              "the sweep runs against the optimized "
                              "partition, so optimized placements keep "
                              "the identical-or-typed-fault contract")

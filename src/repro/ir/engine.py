@@ -96,14 +96,9 @@ class OpList(list):
     at ``i``; ``blen[i]`` is that run's length in steps (used to keep
     step budgets exact — a fused run is never entered when it could
     overshoot the remaining limit).
-
-    ``traces`` is None or the :class:`repro.ir.trace.TraceEntry`
-    headed at this block (consulted by the traced engine's
-    ``run_burst`` when dispatching at index 0; the plain decoded
-    engine never reads it).
     """
 
-    __slots__ = ("burst", "blen", "traces")
+    __slots__ = ("burst", "blen")
 
 
 #: Instructions that always advance ``frame.index`` to their own
@@ -206,9 +201,6 @@ def _revalidate(machine: Machine, fn: Function,
     cache.move_to_end(fn)
     while len(cache) > machine._decoded_cache_cap:
         cache.popitem(last=False)
-    if machine.engine == "traced":
-        from repro.ir.trace import annotate_decoded
-        annotate_decoded(machine, code)
     return code
 
 
@@ -266,7 +258,6 @@ def _build_burst(machine: Machine, ops: OpList,
     by :meth:`DecodedExecutionContext.run_burst`; single stepping
     always dispatches one closure per instruction)."""
     n = len(ops)
-    ops.traces = None
     burst: List = [None] * n
     blen: List[int] = [1] * n
     for i in range(n):
@@ -1499,7 +1490,7 @@ class DecodedExecutionContext(ExecutionContext):
                 fused = ops.burst[index]
                 if fused is not None and \
                         ops.blen[index] <= limit - attempts:
-                    # Trace loop: a fused run cannot block, spawn,
+                    # Hot loop: a fused run cannot block, spawn,
                     # finish a frame or fault-free change the stack,
                     # so while the next index is fused too (the hot
                     # loop case) chain the runs without re-checking

@@ -633,12 +633,9 @@ ExternalFn = Callable[["Machine", ExecutionContext, List[object]], object]
 AccessHook = Callable[[ExecutionContext, int, str, str], None]
 
 #: Known execution engines: ``decoded`` pre-compiles each function
-#: into closures (repro.ir.engine); ``traced`` additionally compiles
-#: hot segments/loops into generated superinstructions
-#: (repro.ir.trace) with guarded deopt back to the decoded tier;
-#: ``legacy`` walks the isinstance dispatch chain above.  All three
-#: are step-observably identical.
-ENGINES = ("decoded", "traced", "legacy")
+#: into closures (repro.ir.engine); ``legacy`` walks the isinstance
+#: dispatch chain above.  Both are step-observably identical.
+ENGINES = ("decoded", "legacy")
 
 #: Bound on the per-machine decoded-code cache.  Compiled closures
 #: strongly reference the IR they execute (instructions -> parent
@@ -665,10 +662,8 @@ class Machine:
         case its globals are allocated in that enclave's region.
     engine:
         ``"decoded"`` (default) pre-compiles each function into
-        directly executable closures; ``"traced"`` builds on the
-        decoded tier and additionally compiles hot loops/segments
-        into generated superinstructions with guarded deopt;
-        ``"legacy"`` re-decodes every instruction per step.
+        directly executable closures; ``"legacy"`` re-decodes every
+        instruction per step.
         ``REPRO_ENGINE`` overrides the default.
     """
 
@@ -684,6 +679,13 @@ class Machine:
             raise IRError(f"unknown execution engine {engine!r}; "
                           f"expected one of {ENGINES}")
         self.engine = engine
+        #: The engine's ExecutionContext subclass.  Resolved here, so
+        #: the decoded engine is imported while the machine is built
+        #: rather than in the middle of its first run.
+        self._context_class = ExecutionContext
+        if engine == "decoded":
+            from repro.ir.engine import DecodedExecutionContext
+            self._context_class = DecodedExecutionContext
         #: Per-Function pre-decoded code (managed by repro.ir.engine):
         #: an insertion-ordered dict bounded at ``_decoded_cache_cap``
         #: entries, oldest evicted first.
@@ -693,10 +695,6 @@ class Machine:
         #: advances (every spawn, i.e. every run boundary) — per-call
         #: lookups inside one run skip the O(instrs) structural hash.
         self._decode_epoch = 0
-        #: Trace-tier counters (managed by repro.ir.trace; published
-        #: by the observability layer as ``interp.trace.*``).
-        self.trace_stats: Dict[str, int] = {
-            "compiled": 0, "entries": 0, "deopts": 0, "steps": 0}
         self.memory = Memory()
         self.externals: Dict[str, ExternalFn] = dict(DEFAULT_EXTERNALS)
         if externals:
@@ -847,23 +845,12 @@ class Machine:
 
     # -- context / scheduling -----------------------------------------------------------
 
-    def context_class(self):
-        """The :class:`ExecutionContext` subclass of the selected
-        engine."""
-        if self.engine == "decoded":
-            from repro.ir.engine import DecodedExecutionContext
-            return DecodedExecutionContext
-        if self.engine == "traced":
-            from repro.ir.trace import TracedExecutionContext
-            return TracedExecutionContext
-        return ExecutionContext
-
     def new_context(self, function, args: Sequence[object] = (),
                     mode: Optional[str] = None,
                     name: str = "") -> ExecutionContext:
         """Create (but do not register) a context on this machine's
         engine.  ``function`` may be ``None`` for an idle worker."""
-        return self.context_class()(self, function, args, mode, name)
+        return self._context_class(self, function, args, mode, name)
 
     def invalidate_decoded(self) -> None:
         """Drop all pre-decoded code.  Call after mutating loaded IR

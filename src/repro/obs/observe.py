@@ -145,8 +145,6 @@ class Observability:
         reg.set("interp.steps", machine.total_steps)
         reg.set("interp.blocked_steps", machine.blocked_steps)
         reg.set("interp.contexts", len(machine.contexts))
-        for key, value in getattr(machine, "trace_stats", {}).items():
-            reg.set(f"interp.trace.{key}", value)
         for chunk, profile in runtime.stats.per_chunk.items():
             for key, value in profile.items():
                 reg.set(f"chunk.{key}[{chunk}]", value)

@@ -62,10 +62,9 @@ CAT_COST = "cost"
 CAT_PIPELINE = "pipeline"
 CAT_FAULT = "fault"
 CAT_SERVE = "serve"
-CAT_TRACE = "trace"
 
 CATEGORIES = (CAT_INTERP, CAT_RUNTIME, CAT_CHANNEL, CAT_MEMORY,
-              CAT_COST, CAT_PIPELINE, CAT_FAULT, CAT_SERVE, CAT_TRACE)
+              CAT_COST, CAT_PIPELINE, CAT_FAULT, CAT_SERVE)
 
 #: The single simulated process all tracks live in.
 PID = 1
@@ -195,22 +194,6 @@ class Tracer:
         if args:
             payload.update(args)
         self.instant(event, CAT_FAULT, "faults", payload)
-
-    def trace_compile(self, fn_name: str, head: str, blocks: int,
-                      steps_per_iter: int, t0_us: float) -> None:
-        """One trace-tier region compilation, as a complete span on
-        the ``trace`` track."""
-        self.complete("trace-compile", CAT_TRACE, "trace", t0_us,
-                      self.now_us() - t0_us,
-                      {"fn": fn_name, "head": head, "blocks": blocks,
-                       "steps_per_iter": steps_per_iter})
-
-    def trace_deopt(self, ctx_name: str, fn_name: str,
-                    head: str) -> None:
-        """A compiled trace declined to run (guard failure or no
-        budget headroom) and the decoded tier took over."""
-        self.instant("trace-deopt", CAT_TRACE, "trace",
-                     {"ctx": ctx_name, "fn": fn_name, "head": head})
 
     def serve_mark(self, event: str, track: str,
                    args: Optional[dict] = None) -> None:

@@ -45,8 +45,7 @@ class CompilationContext:
                  metrics: Optional[MetricsRegistry] = None,
                  tracer=None,
                  cache: Optional[AnalysisCache] = None,
-                 optimize: Optional[str] = None,
-                 profile: Optional[dict] = None):
+                 optimize: Optional[str] = None):
         self.module = module
         self.mode = mode
         self.entries = list(entries) if entries is not None else None
@@ -57,8 +56,6 @@ class CompilationContext:
         #: Placement policy name for the ``optimize-placement`` pass
         #: (None/"none" keeps the historical color-home placement).
         self.optimize = optimize
-        #: Measured traffic profile for the ``profile`` policy.
-        self.profile = profile
         #: AnalysisResult deposited by the ``secure-types`` pass.
         self.analysis = None
         #: Shared PartitionPlanner deposited by ``optimize-placement``.

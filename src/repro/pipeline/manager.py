@@ -27,7 +27,6 @@ from repro.pipeline.passes import (
     SecureTypeAnalysisPass,
     SimplifyCFGPass,
     StructRewritePass,
-    TraceCompilePass,
     VerifyPass,
 )
 
@@ -35,7 +34,7 @@ from repro.pipeline.passes import (
 PASS_REGISTRY = {cls.name: cls for cls in (
     Mem2RegPass, SimplifyCFGPass, ConstFoldPass, DCEPass,
     StructRewritePass, SecureTypeAnalysisPass, OptimizePlacementPass,
-    PartitionPass, TraceCompilePass, VerifyPass,
+    PartitionPass, VerifyPass,
 )}
 
 #: The paper's Figure-5 compile pipeline, with the optimization trio
@@ -46,12 +45,12 @@ PASS_REGISTRY = {cls.name: cls for cls in (
 #: both passes orphaned.
 DEFAULT_PIPELINE = ("mem2reg", "constfold", "simplify-cfg", "dce",
                     "struct-rewrite", "secure-types",
-                    "optimize-placement", "partition", "trace-compile")
+                    "optimize-placement", "partition")
 
-#: Same pipeline without partitioning or trace planning — ``repro
-#: analyze`` stops after the placement optimizer, so it can report
-#: the partition plan and quality without materializing chunks.
-ANALYZE_PIPELINE = DEFAULT_PIPELINE[:-2]
+#: Same pipeline without partitioning — ``repro analyze`` stops after
+#: the placement optimizer, so it can report the partition plan and
+#: quality without materializing chunks.
+ANALYZE_PIPELINE = DEFAULT_PIPELINE[:DEFAULT_PIPELINE.index("partition")]
 
 #: What the MiniC frontend runs on freshly generated IR.
 FRONTEND_PIPELINE = ("verify",)
@@ -127,8 +126,8 @@ class PassManager:
     def run(self, target, mode: str = "hardened",
             entries: Optional[Sequence[str]] = None,
             sync_barriers: bool = True, metrics=None,
-            tracer=None, optimize: Optional[str] = None,
-            profile: Optional[dict] = None) -> CompilationContext:
+            tracer=None, optimize: Optional[str] = None
+            ) -> CompilationContext:
         """Run the pipeline over ``target`` (a Module or an existing
         :class:`CompilationContext`) and return the context."""
         if isinstance(target, CompilationContext):
@@ -137,7 +136,7 @@ class PassManager:
             ctx = CompilationContext(target, mode=mode, entries=entries,
                                      sync_barriers=sync_barriers,
                                      metrics=metrics, tracer=tracer,
-                                     optimize=optimize, profile=profile)
+                                     optimize=optimize)
         for p in self.passes:
             self._run_one(ctx, p)
         ctx.publish_cache_stats()

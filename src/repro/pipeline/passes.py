@@ -157,8 +157,7 @@ class OptimizePlacementPass(Pass):
                                           cache=ctx.cache)
         ctx.analysis.check()
         ctx.planner, ctx.placement_graph, ctx.placement = \
-            optimize_placement(ctx.analysis, policy,
-                               profile=ctx.profile, cache=ctx.cache)
+            optimize_placement(ctx.analysis, policy, cache=ctx.cache)
         ctx.placement_report = placement_report(ctx.placement_graph,
                                                 ctx.placement)
         return {"placement_moves": ctx.placement.moves,
@@ -190,32 +189,6 @@ class PartitionPass(Pass):
             from repro.core.placement import verify_placement
             verify_placement(ctx.program)
         return {"partitions": len(ctx.program.modules)}
-
-
-class TraceCompilePass(Pass):
-    """Precompute trace-tier loop-region plans (:mod:`repro.ir.trace`)
-    for every function — the partition modules when partitioning ran,
-    the input module otherwise — and stamp them with the structural
-    fingerprint so a traced machine trusts them only while the IR is
-    unchanged (and replans itself otherwise)."""
-
-    name = "trace-compile"
-    preserves_cfg = True
-
-    def run(self, ctx):
-        from repro.ir.engine import _fingerprint
-        from repro.ir.trace import plan_function
-        modules = (list(ctx.program.modules.values())
-                   if ctx.program is not None else [ctx.module])
-        functions = regions = 0
-        for module in modules:
-            for fn in module.defined_functions():
-                plan = plan_function(fn, ctx.cache)
-                fn._trace_plan = plan
-                fn._trace_plan_fp = _fingerprint(fn)
-                functions += 1
-                regions += len(plan)
-        return {"functions": functions, "regions": regions}
 
 
 class VerifyPass(Pass):

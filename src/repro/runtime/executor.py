@@ -365,9 +365,8 @@ class PrivagicRuntime:
 
     def channel_traffic(self) -> Dict[str, Dict[str, int]]:
         """Measured per-channel message counts, aggregated over every
-        worker group: ``{"src->dst": {kind: count}}``.  This is the
-        raw feedback the profile-guided placement policy consumes
-        (:func:`repro.core.placement.profile_from_runtime`)."""
+        worker group: ``{"src->dst": {kind: count}}`` (the enclave
+        transitions the benchmarks report)."""
         traffic: Dict[str, Dict[str, int]] = {
             channel: dict(kinds)
             for channel, kinds in self._retired_traffic.items()}

@@ -18,7 +18,7 @@ but the *output* is always the same: a :class:`repro.ir.Module` whose
   inside every enclave).
 
 Everything downstream — the pass pipeline, the secure type analysis,
-the partitioner, the placement optimizer, all three engines, the
+the partitioner, the placement optimizer, both engines, the
 chaos harness and the serve stack — consumes only this contract and
 never sees the source language again.
 """

@@ -44,16 +44,15 @@ from repro.sgx import SGXAccessPolicy
 Op = Tuple
 
 
-def compile_secure_kv(optimize: Optional[str] = None,
-                      profile: Optional[dict] = None):
+def compile_secure_kv(optimize: Optional[str] = None):
     """Compile and partition the served application (hardened mode).
 
     Split out so callers hosting many engines (the benchmark) can
-    compile once and share the program.  ``optimize``/``profile``
-    select a placement policy (``repro.core.placement``) for the
-    served partition."""
+    compile once and share the program.  ``optimize`` selects a
+    placement policy (``repro.core.placement``) for the served
+    partition."""
     return compile_and_partition(SECURE_KV_SOURCE, mode=HARDENED,
-                                 optimize=optimize, profile=profile)
+                                 optimize=optimize)
 
 
 class SecureKVEngine:
@@ -65,12 +64,9 @@ class SecureKVEngine:
         A pre-compiled partitioned program (from
         :func:`compile_secure_kv`); compiled on demand if omitted.
     engine:
-        Interpreter engine name (``decoded``/``traced``/``legacy``),
-        like the CLI's ``--engine``.  Serving uses the interpreter's
-        default, ``decoded``, which serves faster than ``traced``
-        (the KV chunks' chain walks are about one entry long, so the
-        trace tier has no hot loop to amortize); ``REPRO_ENGINE``
-        still wins when set.
+        Interpreter engine name (``decoded``/``legacy``), like the
+        CLI's ``--engine``.  Serving uses the interpreter's default,
+        ``decoded``; ``REPRO_ENGINE`` still wins when set.
     max_steps:
         Per-drive scheduler step budget.
     watchdog_steps:

@@ -73,7 +73,7 @@ same state.  A dead process is handled per ``on_death``:
   while the surviving keyspace serves normally.  ``request_readd``
   restores the stranded keys.
 * ``fault`` — the death is a typed
-  :class:`~repro.errors.EnclaveCrash` (the old ``recover=False``).
+  :class:`~repro.errors.EnclaveCrash`.
 
 Either way: never a silently-wrong answer.
 """
@@ -151,7 +151,6 @@ class RouterConfig:
     #: this is dead (None disables the check).
     forward_timeout: Optional[float] = None
     replicas: int = 64             # ring points per shard
-    recover: bool = True           # legacy: False forces on_death="fault"
     #: Confirmed-death policy: restart | rebalance | degrade | fault.
     on_death: str = "restart"
     max_restarts: int = 3          # consecutive-recovery breaker budget
@@ -277,10 +276,6 @@ class ShardRouter:
                 f"unknown on_death policy "
                 f"{self.config.on_death!r} (expected one of "
                 f"{', '.join(DEATH_POLICIES)})")
-        #: The effective death policy; the legacy ``recover=False``
-        #: switch maps onto "fault".
-        self.on_death = self.config.on_death \
-            if self.config.recover else "fault"
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.tracer = tracer
@@ -881,9 +876,10 @@ class ShardRouter:
                 f"{shard.breaker.failures} consecutive failures "
                 f"(budget {self.config.max_restarts}); last: {why}")
         external = self.config.external_shards is not None
+        on_death = self.config.on_death
         if process_alive or (external and (
                 self.config.external_reconnect
-                or self.on_death in ("rebalance", "degrade"))):
+                or on_death in ("rebalance", "degrade"))):
             try:
                 self._reconnect_shard(shard)
                 return
@@ -893,14 +889,14 @@ class ShardRouter:
                     proc.kill()
                     exit_code = proc.wait()
                     process_alive = False
-                if external and self.on_death not in ("rebalance",
-                                                      "degrade"):
+                if external and on_death not in ("rebalance",
+                                                 "degrade"):
                     raise EnclaveCrash(
                         f"shard {shard.index} died ({why}) and its "
                         f"external endpoint refused reconnection; "
                         f"external shards cannot be respawned")
-        if external and self.on_death not in ("rebalance",
-                                              "degrade"):
+        if external and on_death not in ("rebalance",
+                                         "degrade"):
             raise EnclaveCrash(
                 f"shard {shard.index} died ({why}, exit "
                 f"{exit_code}) with {len(shard.inflight)} "
@@ -909,11 +905,11 @@ class ShardRouter:
             if proc.stdout is not None:
                 proc.stdout.close()
             shard.proc = None
-        if self.on_death == "restart" and not external:
+        if on_death == "restart" and not external:
             self._restart_shard(shard)
-        elif self.on_death == "rebalance":
+        elif on_death == "rebalance":
             self._rebalance_away(shard, why)
-        elif self.on_death == "degrade":
+        elif on_death == "degrade":
             self._degrade_shard(shard, why)
         else:
             raise EnclaveCrash(

@@ -1,5 +1,5 @@
-"""The placement layer: partition graph, policies, verifiers,
-profile round trip, and the differential safety rail.
+"""The placement layer: partition graph, policies, verifiers and the
+differential safety rail.
 
 The invariant under test everywhere: a placement policy may only touch
 color-neutral protocol instructions (barrier tokens).  Secret-typed
@@ -15,15 +15,11 @@ from repro.core.placement import (
     KLPolicy,
     NonePolicy,
     PlacementDecisions,
-    ProfilePolicy,
     format_partition_stats,
-    load_profile,
     optimize_placement,
     partition_stats,
     placement_report,
     policy_by_name,
-    profile_from_runtime,
-    save_profile,
     verify_decisions,
     verify_placement,
 )
@@ -31,11 +27,10 @@ from repro.core.analysis import location_color
 from repro.core.colors import is_named
 from repro.errors import PlacementError
 from repro.ir.instructions import Call, Load, Store
+from repro.ir.interp import ENGINES
 from repro.ir.module import Function
 from repro.ir.values import GlobalVariable
 from repro.runtime import run_partitioned
-
-ENGINES = ("decoded", "traced", "legacy")
 
 #: The paper's Figure 6 running example: g@blue and g@red host no
 #: visible effects (the printf's barrier home is the untrusted
@@ -66,9 +61,8 @@ FIG6 = """
 TOKEN_CALLS = ("__privagic_token_send", "__privagic_token_recv")
 
 
-def _compile(optimize=None, profile=None):
-    compiler = PrivagicCompiler(RELAXED, optimize=optimize,
-                                profile=profile)
+def _compile(optimize=None):
+    compiler = PrivagicCompiler(RELAXED, optimize=optimize)
     program = compiler.compile_source(FIG6)
     return compiler, program
 
@@ -117,8 +111,6 @@ def test_enclave_edges_cost_more_than_untrusted_ones(kl_arm):
 def test_policy_by_name_resolves_each_policy():
     assert isinstance(policy_by_name("none"), NonePolicy)
     assert isinstance(policy_by_name(" KL "), KLPolicy)
-    assert isinstance(policy_by_name("profile", profile={"channels": {}}),
-                      ProfilePolicy)
 
 
 def test_unknown_policy_gets_a_did_you_mean_hint():
@@ -126,11 +118,6 @@ def test_unknown_policy_gets_a_did_you_mean_hint():
         policy_by_name("k1")
     with pytest.raises(PlacementError, match="choose from: none, kl"):
         policy_by_name("simulated-annealing")
-
-
-def test_profile_policy_requires_measured_traffic():
-    with pytest.raises(PlacementError, match="--profile-out"):
-        policy_by_name("profile")
 
 
 # -- the none policy is bit-identical ------------------------------------------
@@ -249,34 +236,6 @@ def test_verify_decisions_refuses_to_silence_effects(none_arm):
         policy="kl", barrier_exempt={spec: frozenset({color})})
     with pytest.raises(PlacementError, match="visible effect"):
         verify_decisions(graph, bogus)
-
-
-# -- profile round trip --------------------------------------------------------
-
-
-def test_profile_round_trip_matches_kl(tmp_path, none_arm, kl_arm):
-    """Measured-traffic loop: a profile captured from the unoptimized
-    run drives the profile policy to the same elisions kl finds
-    statically on fig7."""
-    _, baseline = none_arm
-    _, runtime = run_partitioned(baseline, "main")
-    path = str(tmp_path / "profile.json")
-    save_profile(path, profile_from_runtime(runtime))
-    profile = load_profile(path)
-    assert profile["version"] == 1 and profile["channels"]
-    compiler, program = _compile(optimize="profile", profile=profile)
-    kl_compiler, _ = kl_arm
-    assert compiler.context.placement.barrier_exempt == \
-        kl_compiler.context.placement.barrier_exempt
-    result, rt = run_partitioned(program, "main")
-    assert (result, rt.machine.stdout) == (42, "Hello\n")
-
-
-def test_load_profile_rejects_non_profiles(tmp_path):
-    path = tmp_path / "bogus.json"
-    path.write_text("{\"not\": \"a profile\"}\n")
-    with pytest.raises(PlacementError, match="not a placement profile"):
-        load_profile(str(path))
 
 
 # -- reporting -----------------------------------------------------------------

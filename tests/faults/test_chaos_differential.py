@@ -1,5 +1,5 @@
 """The chaos differential suite (acceptance criterion): across
-hundreds of seeded fault schedules, on all three engines, every run either
+hundreds of seeded fault schedules, on both engines, every run either
 matches the fault-free run exactly or raises a typed RuntimeFault —
 zero silently-wrong outcomes, and injected corruption of colored data
 is always detected, never absorbed."""
@@ -36,8 +36,8 @@ def fig7_program():
 
 
 def test_fig7_300_seeded_schedules_never_silently_wrong(fig7_program):
-    """100 seeds x 3 engines = 300 schedules: the headline gate."""
-    records = chaos_sweep(fig7_program, range(100))
+    """150 seeds x 2 engines = 300 schedules: the headline gate."""
+    records = chaos_sweep(fig7_program, range(150))
     summary = summarize(records)
     assert summary["runs"] == 300
     assert summary[SILENTLY_WRONG] == 0, [
@@ -63,7 +63,7 @@ def test_fig7_engines_agree_on_every_verdict(fig7_program):
     assert not disagreements
 
 
-@pytest.mark.parametrize("engine", ["decoded", "traced", "legacy"])
+@pytest.mark.parametrize("engine", ["decoded", "legacy"])
 @pytest.mark.parametrize("kind", ["spawn", "value", "token"])
 def test_corruption_of_colored_data_is_always_detected(fig7_program,
                                                        kind, engine):
@@ -146,7 +146,7 @@ def test_kl_optimized_partition_keeps_the_chaos_contract():
                                     optimize="kl")
     records = chaos_sweep(program, range(30))
     summary = summarize(records)
-    assert summary["runs"] == 90
+    assert summary["runs"] == 60
     assert summary[SILENTLY_WRONG] == 0, [
         r for r in records if r["verdict"] == SILENTLY_WRONG]
     assert summary["fired"] >= 10

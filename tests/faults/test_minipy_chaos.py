@@ -30,9 +30,9 @@ def minipy_program():
 
 
 def test_minipy_seeded_schedules_never_silently_wrong(minipy_program):
-    """30 seeds on the decoded and traced engines: the MiniPy gate."""
+    """30 seeds on the decoded and legacy engines: the MiniPy gate."""
     records = chaos_sweep(minipy_program, range(30),
-                          engines=("decoded", "traced"))
+                          engines=("decoded", "legacy"))
     summary = summarize(records)
     assert summary["runs"] == 60
     assert summary[SILENTLY_WRONG] == 0, [
@@ -45,7 +45,7 @@ def test_minipy_seeded_schedules_never_silently_wrong(minipy_program):
 
 def test_minipy_engines_agree_on_every_verdict(minipy_program):
     records = chaos_sweep(minipy_program, range(20),
-                          engines=("decoded", "traced"))
+                          engines=("decoded", "legacy"))
     by_seed = {}
     for record in records:
         by_seed.setdefault(record["seed"], set()).add(

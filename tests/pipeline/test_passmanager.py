@@ -43,7 +43,8 @@ def test_parse_pipeline_accepts_comma_string():
 def test_parse_pipeline_none_is_the_default_pipeline():
     names = [p.name for p in parse_pipeline(None)]
     assert names == list(DEFAULT_PIPELINE)
-    assert names[-2:] == ["partition", "trace-compile"]
+    assert names[-1] == "partition"
+    assert ANALYZE_PIPELINE[-1] == "optimize-placement"
 
 
 def test_parse_pipeline_accepts_pass_instances():

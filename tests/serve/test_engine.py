@@ -119,7 +119,7 @@ def get_steps(engine, key) -> int:
     return engine.steps - before
 
 
-@pytest.mark.parametrize("engine_name", ["legacy", "decoded", "traced"])
+@pytest.mark.parametrize("engine_name", ["legacy", "decoded"])
 def test_colliding_keys_share_one_chain(program, engine_name):
     """With NBUCKETS buckets ordinary keys almost never collide, so
     the chain paths (an overwrite past the head, ``kv_del``'s
@@ -201,9 +201,9 @@ def test_serving_defaults_to_decoded(program, monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     assert SecureKVEngine(program=program).runtime.machine.engine \
         == "decoded"
-    monkeypatch.setenv("REPRO_ENGINE", "traced")
+    monkeypatch.setenv("REPRO_ENGINE", "legacy")
     assert SecureKVEngine(program=program).runtime.machine.engine \
-        == "traced"
+        == "legacy"
 
 
 def test_serve_help_states_the_default(capsys):

@@ -361,7 +361,7 @@ def test_crashed_run_converges_to_the_crash_free_state():
 
 
 def test_no_recover_makes_a_shard_death_an_enclave_crash():
-    with make_router(shards=2, batch=4, recover=False) as rt:
+    with make_router(shards=2, batch=4, on_death="fault") as rt:
         client = LoadClient("127.0.0.1", rt.router.port, timeout=5.0)
         assert client.set("k", b"v") == protocol.STORED
         rt.router.shards[0].proc.send_signal(signal.SIGKILL)
@@ -378,7 +378,7 @@ def test_external_shard_death_is_an_enclave_crash():
     # External endpoints cannot be respawned: death is typed, even
     # with recovery on.
     fake = FakeShard()
-    with make_router(fakes=[fake], recover=True) as rt:
+    with make_router(fakes=[fake]) as rt:
         client = LoadClient("127.0.0.1", rt.router.port, timeout=5.0)
         assert client.set("k", b"v") == protocol.STORED
         fake.close()

@@ -157,8 +157,9 @@ def test_run_stats_prints_metrics(fig7_file, capsys):
 
 
 def test_run_rejects_unknown_engine(fig7_file, capsys):
-    with pytest.raises(SystemExit):
-        main(["run", "--engine", "turbo", fig7_file])
+    for engine in ("turbo", "traced"):
+        with pytest.raises(SystemExit):
+            main(["run", "--engine", engine, fig7_file])
 
 
 # -- pass-pipeline flags ------------------------------------------------------
@@ -380,6 +381,9 @@ def test_unknown_optimize_policy_suggests_a_fix(effectful_file,
                  "--optimize", "k1"]) == 1
     err = capsys.readouterr().err
     assert "did you mean 'kl'" in err
+    assert main(["compile", effectful_file, "--mode", "relaxed",
+                 "--optimize", "profile"]) == 1
+    assert "choose from: none, kl" in capsys.readouterr().err
 
 
 def test_run_optimize_kl_is_behavior_preserving(effectful_file,
@@ -401,31 +405,3 @@ def test_run_optimize_kl_is_behavior_preserving(effectful_file,
         raise AssertionError(f"no messages line in {text!r}")
 
     assert messages(optimized) < messages(baseline)
-
-
-def test_run_profile_roundtrip_via_files(effectful_file, tmp_path,
-                                         capsys):
-    """--profile-out from an unoptimized run feeds --profile-in on
-    the next compile: the CLI loop of the profile policy."""
-    import json
-
-    profile_path = tmp_path / "traffic.json"
-    assert main(["run", "--mode", "relaxed", effectful_file,
-                 "--profile-out", str(profile_path)]) == 0
-    out = capsys.readouterr().out
-    assert f"profile: wrote {profile_path}" in out
-    profile = json.loads(profile_path.read_text())
-    assert profile["channels"]
-    assert main(["run", "--mode", "relaxed", effectful_file,
-                 "--optimize", "profile",
-                 "--profile-in", str(profile_path),
-                 "--partition-stats"]) == 0
-    assert '"policy": "profile"' in capsys.readouterr().out
-
-
-def test_profile_policy_without_profile_in_is_friendly(
-        effectful_file, capsys):
-    assert main(["run", "--mode", "relaxed", effectful_file,
-                 "--optimize", "profile"]) == 1
-    err = capsys.readouterr().err
-    assert "--profile-out" in err
