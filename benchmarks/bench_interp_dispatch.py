@@ -17,7 +17,9 @@ Measures interpreted steps/sec on three workloads:
 Results go to ``BENCH_interp.json`` at the repo root so future PRs
 have a perf trajectory, and to the usual benchmark report.  Smoke
 mode (``REPRO_BENCH_SMOKE=1`` or ``--smoke``) shrinks the workloads
-to run in well under a second for CI.
+to run in well under a second for CI; it writes
+``BENCH_interp.smoke.json`` and prints the report, leaving both
+committed files untouched.
 
 Regenerate the committed file with
 ``PYTHONPATH=src python benchmarks/bench_interp_dispatch.py``.
@@ -222,9 +224,18 @@ def regenerate_dispatch_report() -> Report:
     return report
 
 
+def publish(report: Report) -> None:
+    """Print the report; a full run also rewrites the committed
+    ``benchmarks/results`` copy, which smoke-sized numbers must not
+    replace."""
+    if SMOKE:
+        print(report.text())
+    else:
+        report.write()
+
+
 def bench_interp_dispatch(benchmark):
-    report = benchmark(regenerate_dispatch_report)
-    report.write()
+    publish(benchmark(regenerate_dispatch_report))
 
 
 if __name__ == "__main__":
@@ -233,6 +244,4 @@ if __name__ == "__main__":
         # the env var and start over.
         os.environ["REPRO_BENCH_SMOKE"] = "1"
         os.execv(sys.executable, [sys.executable, __file__])
-    report = regenerate_dispatch_report()
-    report.write()
-    print(report.text())
+    publish(regenerate_dispatch_report())

@@ -6,8 +6,9 @@
 #
 # The dispatch benchmark runs in smoke mode (tiny workloads, no 5x
 # assertion, writes BENCH_interp.smoke.json) so the whole script
-# stays CI-fast; run `python benchmarks/bench_interp_dispatch.py`
-# for real numbers.
+# stays CI-fast; its fresh decoded/legacy ratios are gated against
+# smoke-scale floors.  Run `python benchmarks/bench_interp_dispatch.py`
+# for real numbers.  A passing run leaves the working tree unchanged.
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -16,6 +17,28 @@ export PYTHONPATH=src
 # out-of-band marker families here.
 python -m pytest -x -q -m "not slow and not chaos" "$@"
 REPRO_BENCH_SMOKE=1 python benchmarks/bench_interp_dispatch.py
+# BENCH_interp smoke gate: the decoded/legacy step-rate ratio just
+# measured must clear a floor per workload.  A ratio carries across
+# hosts where absolute steps/s do not.  The floors sit below the
+# lowest of 30 smoke runs of the parent commit on a busy 2-vCPU host
+# (litmus 2.74x, fig7 2.48x; medians about 5.5x and 2.9x), so host
+# noise alone should not trip them.  They catch the decoded engine
+# losing half its lead or more, such as a fallback onto legacy
+# stepping (about 1x); smaller regressions need the full benchmark.
+python - <<'PYEOF'
+import json
+
+FLOORS = {"litmus": 2.5, "fig7": 2.0}
+with open("BENCH_interp.smoke.json") as handle:
+    workloads = json.load(handle)["workloads"]
+for name, floor in FLOORS.items():
+    ratio = workloads[name]["speedup"]
+    assert ratio >= floor, \
+        f"smoke {name}: decoded {ratio}x legacy, floor {floor}x"
+print("bench smoke gate: " + ", ".join(
+    f"{name} decoded {workloads[name]['speedup']}x legacy "
+    f"(floor {floor}x)" for name, floor in FLOORS.items()) + " OK")
+PYEOF
 rm -f BENCH_interp.smoke.json
 
 # CLI smoke: run the Fig 7 example with tracing and validate the

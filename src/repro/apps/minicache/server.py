@@ -29,10 +29,6 @@ class CacheStats:
     evictions: int = 0
     bad_requests: int = 0
 
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.gets if self.gets else 0.0
-
     def merge(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(
             self.gets + other.gets, self.hits + other.hits,

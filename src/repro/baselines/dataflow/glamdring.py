@@ -88,9 +88,6 @@ class GlamdringPartition:
                 total += sum(len(b.instructions) for b in fn.blocks)
         return total
 
-    def ecalls_per_boundary_call(self) -> int:
-        return len(self.ecall_targets)
-
     def apply_placement(self, enclave: str = "dfenclave") -> List[str]:
         """Color the protected globals into the enclave region so the
         interpreter places them there (the runtime attack surface)."""

@@ -62,9 +62,3 @@ class SconeDeployment:
         meter.memory_accesses(struct_accesses + value_lines,
                               miss_ratio, in_enclave=True,
                               epc_fault_ratio=epc_faults)
-
-    def pipeline_stages(self, untrusted_cycles: float,
-                        enclave_cycles: float):
-        """Scone has a single stage: the whole request runs in the
-        enclave; nothing overlaps."""
-        return [untrusted_cycles + enclave_cycles]

@@ -236,9 +236,6 @@ class AnalysisResult:
             raise self.errors[0]
         return self
 
-    def analysis_of(self, fn: Function) -> "FunctionAnalysis":
-        return self.functions[fn.name]
-
     def all_colors(self) -> Set[str]:
         colors: Set[str] = {self.untrusted}
         for fa in self.functions.values():
@@ -247,15 +244,6 @@ class AnalysisResult:
 
     def named_colors(self) -> Set[str]:
         return {c for c in self.all_colors() if is_named(c)}
-
-    def instruction_home(self, fa: FunctionAnalysis,
-                         instr: Instruction) -> str:
-        """Where the partitioner generates this instruction: a color,
-        or REPLICATED for pure-F computation (§7.3.1)."""
-        color = fa.inst_colors.get(instr, F)
-        if color == F:
-            return REPLICATED
-        return color
 
 
 class _Analyzer:
@@ -621,12 +609,6 @@ class _Analyzer:
         else:
             self.assign(fa, instr, operand_color, "cast", instr)
         self.set_inst_color(fa, instr, fa.color_of(instr))
-
-    @staticmethod
-    def _multicolor_target(t: IRType) -> bool:
-        while isinstance(t, PointerType):
-            t = t.pointee
-        return isinstance(t, StructType) and t.is_multicolor
 
     def _visit_alloca(self, fa: FunctionAnalysis, instr: Alloca) -> None:
         color = self.loc_color(instr.allocated_type)

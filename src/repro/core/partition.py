@@ -179,9 +179,6 @@ class PartitionedProgram:
     def colors(self) -> List[str]:
         return sorted(self.modules)
 
-    def enclave_colors(self) -> List[str]:
-        return [c for c in self.colors if c != self.untrusted]
-
     def all_modules(self) -> List[Module]:
         return [self.modules[c] for c in self.colors]
 

@@ -1,7 +1,7 @@
 """Pre-decoded ("threaded-code") execution engine for the IR
 interpreter.
 
-The legacy :meth:`ExecutionContext._execute` re-decodes every
+The legacy :meth:`ExecutionContext.step` re-decodes every
 instruction on every step: a ~15-branch ``isinstance`` chain, operand
 resolution through :meth:`ExecutionContext.value_of` (four more
 ``isinstance`` checks per operand), property walks (``instr.ptr`` is a
@@ -22,10 +22,19 @@ executable form; this module does the same for the abstract machine:
 The translation is a *faithful substitution*: step-at-a-time
 semantics, step counts, ``BLOCK``/retry, trampoline :class:`PushCall`
 handling, access policies, access observers and every fault message
-are preserved exactly (``tests/ir/test_engine_equivalence.py`` runs
-both engines differentially).  Lazily-allocated machine state (string
-interning, function code addresses) stays lazy so the two engines
-produce bit-identical memory images.
+are preserved exactly (``tests/ir/test_engine_equivalence.py`` and
+``tests/ir/test_opcode_semantics.py`` run both engines
+differentially).  Neither engine owns the opcode semantics: results
+and fault messages of every binop, comparison and cast come from the
+tables in :mod:`repro.ir.interp` (``BINOP_SEMANTICS``,
+``CMP_SEMANTICS``, ``CAST_SEMANTICS``), and external-call results go
+through the shared :meth:`ExecutionContext._call_external`.  What the
+decoder adds is specialization on operand shape (register, constant,
+lazily resolved value), never semantics, and every instruction the IR
+can build decodes: there is no fallback onto the legacy step.
+Lazily-allocated machine state (string interning, function code
+addresses) stays lazy so the two engines produce bit-identical memory
+images.
 
 Decoded code is cached per :class:`~repro.ir.module.Function` on the
 owning :class:`~repro.ir.interp.Machine` and revalidated against a
@@ -46,7 +55,6 @@ retain every dead function body forever.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Dict, List, Tuple
 
 from repro.errors import IRError, RuntimeFault
@@ -68,20 +76,21 @@ from repro.ir.instructions import (
     Unreachable,
 )
 from repro.ir.interp import (
-    _INT64_MASK,
-    _trunc_div,
-    BLOCK,
+    BINOP_SEMANTICS,
     ExecutionContext,
     Frame,
     Machine,
-    PushCall,
+    binop_function,
+    cast_function,
+    cmp_function,
+    int_width,
 )
 from repro.ir.module import BasicBlock, Function
-from repro.ir.types import ArrayType, IntType, StructType
+from repro.ir.types import StructType
 from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
 
 #: A decoded instruction: returns True when the context advanced
-#: (mirrors the legacy ``_execute`` contract; False means blocked).
+#: (the legacy step's contract; False means blocked).
 Op = Callable[["DecodedExecutionContext", Frame], bool]
 
 #: Sentinel distinguishing "slot not mapped" from a stored None.
@@ -228,25 +237,16 @@ def _decode(machine: Machine, fn: Function,
         ops = block_ops[block]
         kinds = kinds_by_block.setdefault(block, [])
         for index, instr in enumerate(block.instructions):
-            try:
-                op = _compile_instruction(machine, block, index,
-                                          instr, ensure)
-            except Exception:
-                # Anything the decoder cannot prove it handles runs on
-                # the legacy path, faithfully by construction.
-                op = _legacy_op(instr)
-                kind = "solo"
+            ops.append(_compile_instruction(machine, block, index, instr,
+                                            ensure))
+            if isinstance(instr, _SEQUENTIAL):
+                kinds.append("seq")
+            elif isinstance(instr, _TERMINAL):
+                kinds.append("term")
+            elif isinstance(instr, Phi):
+                kinds.append("phi")
             else:
-                if isinstance(instr, _SEQUENTIAL):
-                    kind = "seq"
-                elif isinstance(instr, _TERMINAL):
-                    kind = "term"
-                elif isinstance(instr, Phi):
-                    kind = "phi"
-                else:
-                    kind = "solo"  # Call / Ret / unknown
-            ops.append(op)
-            kinds.append(kind)
+                kinds.append("solo")  # Call / Ret
     for block, ops in block_ops.items():
         _build_burst(machine, ops, kinds_by_block.get(block, []))
     return DecodedFunction(fn, fp, block_ops)
@@ -306,12 +306,6 @@ def _fuse(machine: Machine, seg: List[Op]):
                 ctx.steps += n
                 machine.total_steps += n
     return fused
-
-
-def _legacy_op(instr: Instruction) -> Op:
-    def op(ctx, frame):
-        return ctx._execute(frame, instr)
-    return op
 
 
 # -- operand pre-resolution ------------------------------------------------------
@@ -390,108 +384,6 @@ def _getter(machine: Machine, value: Value):
     return _kind_getter(kind, payload)
 
 
-# -- pure-operation pre-compilation ----------------------------------------------
-
-_CMP_BASE = {
-    "eq": operator.eq, "ne": operator.ne,
-    "lt": operator.lt, "le": operator.le,
-    "gt": operator.gt, "ge": operator.ge,
-}
-
-
-def _compile_arith(instr: BinOp):
-    """Compile a BinOp into ``fn(lhs, rhs)`` replicating the legacy
-    ``_apply_binop`` semantics (coercions, wrapping, fault messages)."""
-    op = instr.op
-    if op[0] == "f":
-        if op == "fadd":
-            return lambda a, b: float(a) + float(b)
-        if op == "fsub":
-            return lambda a, b: float(a) - float(b)
-        if op == "fmul":
-            return lambda a, b: float(a) * float(b)
-
-        def fdiv(a, b):
-            a, b = float(a), float(b)
-            if b == 0.0:
-                raise RuntimeFault("float division by zero")
-            return a / b
-        return fdiv
-
-    bits = instr.type.bits if isinstance(instr.type, IntType) else 64
-    mask = (1 << bits) - 1
-    sign = 1 << (bits - 1)
-    mod = 1 << bits
-
-    def wrap(r):
-        r &= mask
-        return r - mod if r >= sign else r
-
-    m64 = _INT64_MASK
-    if op == "add":
-        return lambda a, b: wrap(int(a) + int(b))
-    if op == "sub":
-        return lambda a, b: wrap(int(a) - int(b))
-    if op == "mul":
-        return lambda a, b: wrap(int(a) * int(b))
-    if op == "sdiv":
-        def sdiv(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise RuntimeFault("integer division by zero")
-            return wrap(_trunc_div(a, b))
-        return sdiv
-    if op == "udiv":
-        def udiv(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise RuntimeFault("integer division by zero")
-            return wrap((a & m64) // (b & m64))
-        return udiv
-    if op == "srem":
-        def srem(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise RuntimeFault("integer remainder by zero")
-            return wrap(a - _trunc_div(a, b) * b)
-        return srem
-    if op == "urem":
-        def urem(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise RuntimeFault("integer remainder by zero")
-            return wrap((a & m64) % (b & m64))
-        return urem
-    if op == "and":
-        return lambda a, b: wrap(int(a) & int(b))
-    if op == "or":
-        return lambda a, b: wrap(int(a) | int(b))
-    if op == "xor":
-        return lambda a, b: wrap(int(a) ^ int(b))
-    if op == "shl":
-        return lambda a, b: wrap(int(a) << (int(b) & 63))
-    if op == "lshr":
-        return lambda a, b: wrap((int(a) & m64) >> (int(b) & 63))
-    if op == "ashr":
-        return lambda a, b: wrap(int(a) >> (int(b) & 63))
-    raise RuntimeFault(f"unhandled binop {op}")
-
-
-def _compile_cmp(instr: Cmp):
-    pred = instr.predicate
-    if pred[0] == "f":
-        cmp = _CMP_BASE[pred[1:]]
-        return lambda a, b: 1 if cmp(float(a), float(b)) else 0
-    if pred[0] == "u":
-        cmp = _CMP_BASE[pred[1:]]
-        m64 = _INT64_MASK
-        return lambda a, b: 1 if cmp(int(a) & m64, int(b) & m64) else 0
-    if pred[0] == "s":
-        pred = pred[1:]
-    cmp = _CMP_BASE[pred]
-    return lambda a, b: 1 if cmp(int(a), int(b)) else 0
-
-
 # -- per-instruction compilation -------------------------------------------------
 
 
@@ -524,7 +416,9 @@ def _compile_instruction(machine: Machine, block: BasicBlock, index: int,
         return _compile_binop(machine, instr, nxt)
 
     if isinstance(instr, Cmp):
-        return _compile_cmp_instr(machine, instr, nxt)
+        return _compile_binary(instr, nxt, cmp_function(instr.predicate),
+                               *_operand(machine, instr.lhs),
+                               *_operand(machine, instr.rhs))
 
     if isinstance(instr, GEP):
         return _compile_gep(machine, instr, nxt)
@@ -559,7 +453,7 @@ def _compile_instruction(machine: Machine, block: BasicBlock, index: int,
         return op
 
     if isinstance(instr, Call):
-        return _compile_call(machine, instr, nxt)
+        return _compile_call(machine, instr)
 
     if isinstance(instr, Branch):
         return _compile_branch(machine, instr, ensure)
@@ -613,8 +507,7 @@ def _compile_instruction(machine: Machine, block: BasicBlock, index: int,
                 f"@{frame.function.name}")
         return op
 
-    # Unknown instruction kinds execute (and fault) on the legacy path.
-    return _legacy_op(instr)
+    raise IRError(f"cannot decode a {type(instr).__name__} instruction")
 
 
 def _compile_load(machine: Machine, instr: Load, nxt: int) -> Op:
@@ -753,13 +646,69 @@ def _compile_store(machine: Machine, instr: Store, nxt: int) -> Op:
 
 
 def _compile_binop(machine: Machine, instr: BinOp, nxt: int) -> Op:
-    arith = _compile_arith(instr)
+    bits = int_width(instr.type)
+    coerce, fn, fault = BINOP_SEMANTICS[instr.op]
     lkind, lv = _operand(machine, instr.lhs)
     rkind, rv = _operand(machine, instr.rhs)
+    if coerce is not int or fault is not None or "getter" in (lkind, rkind) \
+            or lkind == rkind == "const":
+        return _compile_binary(instr, nxt, binop_function(instr.op, bits),
+                               lkind, lv, rkind, rv)
 
+    # Total integer ops, the loop-body workhorses (add, sub, mul): the
+    # table's operator and the wrap to width are inlined.  Calling the
+    # generic evaluator here instead costs 11-28% on the fig7 compute
+    # loop.
+    mask = (1 << bits) - 1
+    sign = 1 << (bits - 1)
+    mod = 1 << bits
+    if lkind == "reg" and rkind == "reg":
+        lreg, rreg = lv, rv
+
+        def op(ctx, frame):
+            values = frame.values
+            try:
+                r = fn(int(values[lreg]), int(values[rreg])) & mask
+            except KeyError:
+                _raise_undef(ctx, frame, lreg, rreg)
+            values[instr] = r - mod if r >= sign else r
+            frame.index = nxt
+            return True
+        return op
+    if lkind == "reg":
+        lreg, rc = lv, int(rv)
+
+        def op(ctx, frame):
+            values = frame.values
+            try:
+                r = fn(int(values[lreg]), rc) & mask
+            except KeyError:
+                _raise_undef(ctx, frame, lreg)
+            values[instr] = r - mod if r >= sign else r
+            frame.index = nxt
+            return True
+        return op
+    lc, rreg = int(lv), rv
+
+    def op(ctx, frame):
+        values = frame.values
+        try:
+            r = fn(lc, int(values[rreg])) & mask
+        except KeyError:
+            _raise_undef(ctx, frame, rreg)
+        values[instr] = r - mod if r >= sign else r
+        frame.index = nxt
+        return True
+    return op
+
+
+def _compile_binary(instr: Instruction, nxt: int, evaluate,
+                    lkind: str, lv, rkind: str, rv) -> Op:
+    """A two-operand instruction computing ``evaluate(lhs, rhs)`` from
+    the semantics tables, specialized on its operands' shapes."""
     if lkind == "const" and rkind == "const":
         try:
-            folded = arith(lv, rv)
+            folded = evaluate(lv, rv)
         except RuntimeFault as fault:
             message = str(fault)
 
@@ -778,183 +727,8 @@ def _compile_binop(machine: Machine, instr: BinOp, nxt: int) -> Op:
         rget = _kind_getter(rkind, rv)
 
         def op(ctx, frame):
-            frame.values[instr] = arith(lget(ctx, frame),
-                                        rget(ctx, frame))
-            frame.index = nxt
-            return True
-        return op
-
-    op_name = instr.op
-    if op_name in ("add", "sub", "mul"):
-        # The loop-body workhorses: fully inlined, including the
-        # wrap-to-width (identical to _apply_binop's coerce + wrap).
-        bits = instr.type.bits if isinstance(instr.type, IntType) else 64
-        mask = (1 << bits) - 1
-        sign = 1 << (bits - 1)
-        mod = 1 << bits
-        if lkind == "reg" and rkind == "reg":
-            lreg, rreg = lv, rv
-            if op_name == "add":
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) + int(values[rreg])) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg, rreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            elif op_name == "sub":
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) - int(values[rreg])) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg, rreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            else:
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) * int(values[rreg])) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg, rreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            return op
-        if lkind == "reg":
-            lreg, rc = lv, int(rv)
-            if op_name == "add":
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) + rc) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            elif op_name == "sub":
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) - rc) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            else:
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) * rc) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            return op
-        lc, rreg = int(lv), rv
-        if op_name == "add":
-            def op(ctx, frame):
-                values = frame.values
-                try:
-                    r = (lc + int(values[rreg])) & mask
-                except KeyError:
-                    _raise_undef(ctx, frame, rreg)
-                values[instr] = r - mod if r >= sign else r
-                frame.index = nxt
-                return True
-        elif op_name == "sub":
-            def op(ctx, frame):
-                values = frame.values
-                try:
-                    r = (lc - int(values[rreg])) & mask
-                except KeyError:
-                    _raise_undef(ctx, frame, rreg)
-                values[instr] = r - mod if r >= sign else r
-                frame.index = nxt
-                return True
-        else:
-            def op(ctx, frame):
-                values = frame.values
-                try:
-                    r = (lc * int(values[rreg])) & mask
-                except KeyError:
-                    _raise_undef(ctx, frame, rreg)
-                values[instr] = r - mod if r >= sign else r
-                frame.index = nxt
-                return True
-        return op
-
-    # Division / remainder / float / bitwise family: registers read
-    # inline, the pre-compiled arith callable does the rest.
-    if lkind == "reg" and rkind == "reg":
-        lreg, rreg = lv, rv
-
-        def op(ctx, frame):
-            values = frame.values
-            try:
-                a = values[lreg]
-                b = values[rreg]
-            except KeyError:
-                _raise_undef(ctx, frame, lreg, rreg)
-            values[instr] = arith(a, b)
-            frame.index = nxt
-            return True
-        return op
-    if lkind == "reg":
-        lreg, rc = lv, rv
-
-        def op(ctx, frame):
-            values = frame.values
-            try:
-                a = values[lreg]
-            except KeyError:
-                _raise_undef(ctx, frame, lreg)
-            values[instr] = arith(a, rc)
-            frame.index = nxt
-            return True
-        return op
-    lc, rreg = lv, rv
-
-    def op(ctx, frame):
-        values = frame.values
-        try:
-            b = values[rreg]
-        except KeyError:
-            _raise_undef(ctx, frame, rreg)
-        values[instr] = arith(lc, b)
-        frame.index = nxt
-        return True
-    return op
-
-
-def _compile_cmp_instr(machine: Machine, instr: Cmp, nxt: int) -> Op:
-    compare = _compile_cmp(instr)
-    lkind, lv = _operand(machine, instr.lhs)
-    rkind, rv = _operand(machine, instr.rhs)
-
-    if lkind == "const" and rkind == "const":
-        folded = compare(lv, rv)
-
-        def op(ctx, frame):
-            frame.values[instr] = folded
-            frame.index = nxt
-            return True
-        return op
-
-    if lkind == "getter" or rkind == "getter":
-        lget = _kind_getter(lkind, lv)
-        rget = _kind_getter(rkind, rv)
-
-        def op(ctx, frame):
-            frame.values[instr] = compare(lget(ctx, frame),
-                                          rget(ctx, frame))
+            frame.values[instr] = evaluate(lget(ctx, frame),
+                                           rget(ctx, frame))
             frame.index = nxt
             return True
         return op
@@ -969,7 +743,7 @@ def _compile_cmp_instr(machine: Machine, instr: Cmp, nxt: int) -> Op:
                 b = values[rreg]
             except KeyError:
                 _raise_undef(ctx, frame, lreg, rreg)
-            values[instr] = compare(a, b)
+            values[instr] = evaluate(a, b)
             frame.index = nxt
             return True
         return op
@@ -982,7 +756,7 @@ def _compile_cmp_instr(machine: Machine, instr: Cmp, nxt: int) -> Op:
                 a = values[lreg]
             except KeyError:
                 _raise_undef(ctx, frame, lreg)
-            values[instr] = compare(a, rc)
+            values[instr] = evaluate(a, rc)
             frame.index = nxt
             return True
         return op
@@ -994,7 +768,7 @@ def _compile_cmp_instr(machine: Machine, instr: Cmp, nxt: int) -> Op:
             b = values[rreg]
         except KeyError:
             _raise_undef(ctx, frame, rreg)
-        values[instr] = compare(lc, b)
+        values[instr] = evaluate(lc, b)
         frame.index = nxt
         return True
     return op
@@ -1172,16 +946,14 @@ def _compile_gep(machine: Machine, instr: GEP, nxt: int) -> Op:
     else:
         dynamic.append((lkind, lead, current.size_slots()))
 
+    # GEP construction guarantees every index past the first drills
+    # into a struct (by a constant) or an array.
     for idx in indices[1:]:
         if isinstance(current, StructType):
-            if not isinstance(idx, Constant):
-                # Dynamic struct index cannot be pre-flattened; the
-                # legacy interpreter handles it (and its faults).
-                return _legacy_op(instr)
             field = int(idx.value)
             static += current.field_offset_slots(field)
             current = current.fields[field].type
-        elif isinstance(current, ArrayType):
+        else:
             element_size = current.element.size_slots()
             ikind, ival = _operand(machine, idx)
             if ikind == "const":
@@ -1189,8 +961,6 @@ def _compile_gep(machine: Machine, instr: GEP, nxt: int) -> Op:
             else:
                 dynamic.append((ikind, ival, element_size))
             current = current.element
-        else:
-            return _legacy_op(instr)  # "gep into scalar type" fault
 
     if not dynamic:
         if bkind == "const":
@@ -1266,26 +1036,8 @@ def _compile_gep(machine: Machine, instr: GEP, nxt: int) -> Op:
 
 
 def _compile_cast(machine: Machine, instr: Cast, nxt: int) -> Op:
-    kind = instr.kind
+    convert = cast_function(instr.kind, int_width(instr.to_type))
     vkind, val = _operand(machine, instr.value)
-
-    if kind in ("bitcast", "inttoptr", "ptrtoint"):
-        convert = None
-    elif kind == "trunc":
-        bits = instr.to_type.bits  # type: ignore[attr-defined]
-        mask = (1 << bits) - 1
-        sign = 1 << (bits - 1)
-        mod = 1 << bits
-
-        def convert(v):
-            v = int(v) & mask
-            return v - mod if v >= sign else v
-    elif kind in ("zext", "sext", "fptosi"):
-        convert = int
-    elif kind == "sitofp":
-        convert = float
-    else:
-        return _legacy_op(instr)  # "unhandled cast" fault
 
     if vkind == "const":
         folded = val if convert is None else convert(val)
@@ -1297,17 +1049,6 @@ def _compile_cast(machine: Machine, instr: Cast, nxt: int) -> Op:
         return op
     if vkind == "reg":
         vreg = val
-        if convert is None:
-            def op(ctx, frame):
-                values = frame.values
-                try:
-                    v = values[vreg]
-                except KeyError:
-                    _raise_undef(ctx, frame, vreg)
-                values[instr] = v
-                frame.index = nxt
-                return True
-            return op
 
         def op(ctx, frame):
             values = frame.values
@@ -1315,86 +1056,58 @@ def _compile_cast(machine: Machine, instr: Cast, nxt: int) -> Op:
                 v = values[vreg]
             except KeyError:
                 _raise_undef(ctx, frame, vreg)
-            values[instr] = convert(v)
+            values[instr] = v if convert is None else convert(v)
             frame.index = nxt
             return True
         return op
     vget = val
-    if convert is None:
-        def op(ctx, frame):
-            frame.values[instr] = vget(ctx, frame)
-            frame.index = nxt
-            return True
-        return op
 
     def op(ctx, frame):
-        frame.values[instr] = convert(vget(ctx, frame))
+        v = vget(ctx, frame)
+        frame.values[instr] = v if convert is None else convert(v)
         frame.index = nxt
         return True
     return op
 
 
-def _compile_call(machine: Machine, instr: Call, nxt: int) -> Op:
+def _compile_call(machine: Machine, instr: Call) -> Op:
     callee = instr.callee
     arg_getters = [_getter(machine, arg) for arg in instr.args]
-    is_void = instr.is_void
 
     if not isinstance(callee, Function):
-        # Indirect call: resolve through the legacy path (it goes
-        # through our overridden _push_call, so pushed frames are
-        # still decoded).
-        return _legacy_op(instr)
+        # Indirect call: the target is known only at run time.
+        callee_get = _getter(machine, callee)
 
-    # A declaration may be satisfied by a definition from another
-    # loaded module; the name map is fixed at machine load time, so
-    # resolve once here instead of on every call.
-    resolved = callee
-    if resolved.is_declaration:
-        defined = machine._functions_by_name.get(resolved.name)
-        if defined is not None and not defined.is_declaration:
-            resolved = defined
+        def op(ctx, frame):
+            target = machine.definition_of(
+                machine.function_at(callee_get(ctx, frame)))
+            args = [g(ctx, frame) for g in arg_getters]
+            if target.is_declaration:
+                return ctx._call_external(frame, instr, target.name, args)
+            ctx._push_call(target, args, call_site=instr)
+            return True
+        return op
+
+    # The name map is fixed at machine load time, so a declaration
+    # resolves once here instead of on every call.
+    resolved = machine.definition_of(callee)
 
     if resolved.is_declaration:
         name = resolved.name
 
         def op(ctx, frame):
-            args = [g(ctx, frame) for g in arg_getters]
-            handler = machine.externals.get(name)
-            if handler is None:
-                raise RuntimeFault(
-                    f"{ctx.name}: call to unknown external @{name}")
-            result = handler(machine, ctx, args)
-            if result is BLOCK:
-                machine.blocked_steps += 1
-                return False
-            if isinstance(result, PushCall):
-                ctx._push_call(result.function, result.args,
-                               call_site=instr if not result.replay
-                               else None,
-                               replay=result.replay)
-                if result.on_return is not None:
-                    ctx.stack[-1].on_return = result.on_return
-                return True
-            if not is_void:
-                frame.values[instr] = result
-            frame.index = nxt
-            return True
+            return ctx._call_external(
+                frame, instr, name, [g(ctx, frame) for g in arg_getters])
         return op
 
     formals = list(resolved.args)
-    if len(arg_getters) != len(formals):
-        fname, given, expected = resolved.name, len(arg_getters), \
-            len(formals)
-
-        def op(ctx, frame):
-            for g in arg_getters:   # legacy resolves args first
-                g(ctx, frame)
-            raise RuntimeFault(
-                f"@{fname} called with {given} args, "
-                f"expects {expected}")
-        return op
-
     target = resolved
+    if len(arg_getters) != len(formals):
+        def op(ctx, frame):
+            # The generic push raises the arity fault.
+            ctx._push_call(target, [g(ctx, frame) for g in arg_getters],
+                           call_site=instr)
+        return op
 
     def op(ctx, frame):
         args = [g(ctx, frame) for g in arg_getters]
@@ -1412,7 +1125,9 @@ def _compile_call(machine: Machine, instr: Call, nxt: int) -> Op:
 class DecodedExecutionContext(ExecutionContext):
     """An :class:`ExecutionContext` that dispatches pre-decoded
     closures: fetch ``frame.ops[frame.index]``, call it.  Everything
-    else (call stack, returns, trampolines, blocking) is inherited."""
+    else (call stack, returns, trampolines, blocking) is inherited.
+    Every frame gets its decoded code when it is pushed, so there is
+    no fallback onto the legacy step."""
 
     def _push_call(self, function: Function, args,
                    call_site, replay: bool = False) -> None:
@@ -1420,24 +1135,12 @@ class DecodedExecutionContext(ExecutionContext):
         frame = self.stack[-1]
         frame.ops = decode_function(self.machine, function).entry_ops
 
-    def _attach_ops(self, frame):
-        """A frame pushed behind the engine's back (hand-built state):
-        attach decoded code; None means fall back to legacy."""
-        code = decode_function(self.machine, frame.function)
-        ops = frame.ops = code.block_ops.get(frame.block)
-        return ops
-
     def step(self) -> None:
         """Execute one instruction (or retry a blocked external call)."""
         if self.finished or not self.stack:
             return
         frame = self.stack[-1]
         ops = frame.ops
-        if ops is None:
-            ops = self._attach_ops(frame)
-            if ops is None:
-                super().step()
-                return
         try:
             advanced = ops[frame.index](self, frame)
         except RuntimeFault:
@@ -1473,18 +1176,6 @@ class DecodedExecutionContext(ExecutionContext):
                 break
             frame = stack[-1]
             ops = frame.ops
-            if ops is None:
-                ops = self._attach_ops(frame)
-                if ops is None:
-                    before = self.steps
-                    attempts += 1
-                    ExecutionContext.step(self)
-                    if self.steps == before:
-                        break
-                    advanced_any = True
-                    if len(contexts) != n_ctx:
-                        break
-                    continue
             index = frame.index
             try:
                 fused = ops.burst[index]

@@ -295,11 +295,6 @@ class Call(Instruction):
     def args(self) -> List[Value]:
         return self.operands[1:]
 
-    @property
-    def is_indirect(self) -> bool:
-        from repro.ir.module import Function
-        return not isinstance(self.callee, Function)
-
 
 class Branch(Instruction):
     """Conditional branch ``br cond, then_block, else_block``."""

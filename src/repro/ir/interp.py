@@ -26,6 +26,8 @@ memory.  Three properties matter for the reproduction:
 from __future__ import annotations
 
 import bisect
+import functools
+import operator
 import os
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -50,15 +52,8 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.printer import print_instruction
-from repro.ir.types import (
-    ArrayType,
-    FloatType,
-    IntType,
-    IRType,
-    PointerType,
-    StructType,
-)
-from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from repro.ir.types import ArrayType, IntType, IRType, StructType
+from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
 
 #: Sentinel returned by an external function to block the caller; the
 #: context will re-execute the same call on its next step.
@@ -373,14 +368,15 @@ class ExecutionContext:
         if isinstance(instr, BinOp):
             lhs = self.value_of(instr.lhs)
             rhs = self.value_of(instr.rhs)
-            frame.values[instr] = _apply_binop(instr, lhs, rhs)
+            frame.values[instr] = binop_function(
+                instr.op, int_width(instr.type))(lhs, rhs)
             frame.index += 1
             return True
 
         if isinstance(instr, Cmp):
             lhs = self.value_of(instr.lhs)
             rhs = self.value_of(instr.rhs)
-            frame.values[instr] = _apply_cmp(instr.predicate, lhs, rhs)
+            frame.values[instr] = cmp_function(instr.predicate)(lhs, rhs)
             frame.index += 1
             return True
 
@@ -390,7 +386,10 @@ class ExecutionContext:
             return True
 
         if isinstance(instr, Cast):
-            frame.values[instr] = _apply_cast(instr, self.value_of(instr.value))
+            value = self.value_of(instr.value)
+            convert = cast_function(instr.kind, int_width(instr.to_type))
+            frame.values[instr] = value if convert is None else \
+                convert(value)
             frame.index += 1
             return True
 
@@ -478,39 +477,40 @@ class ExecutionContext:
         callee = instr.callee
         if not isinstance(callee, Function):
             # Indirect call: resolve the function address.
-            addr = self.value_of(callee)
-            callee = machine.function_at(addr)
-        if callee.is_declaration:
-            # A forward declaration may be satisfied by a definition in
-            # another loaded module (chunks reference each other this
-            # way); resolve by name before falling back to externals.
-            defined = machine._functions_by_name.get(callee.name)
-            if defined is not None and not defined.is_declaration:
-                callee = defined
+            callee = machine.function_at(self.value_of(callee))
+        callee = machine.definition_of(callee)
         args = [self.value_of(a) for a in instr.args]
         if callee.is_declaration:
-            handler = machine.externals.get(callee.name)
-            if handler is None:
-                raise RuntimeFault(
-                    f"{self.name}: call to unknown external "
-                    f"@{callee.name}")
-            result = handler(machine, self, args)
-            if result is BLOCK:
-                machine.blocked_steps += 1
-                return False
-            if isinstance(result, PushCall):
-                self._push_call(result.function, result.args,
-                                call_site=instr if not result.replay
-                                else None,
-                                replay=result.replay)
-                if result.on_return is not None:
-                    self.stack[-1].on_return = result.on_return
-                return True
-            if not instr.is_void:
-                frame.values[instr] = result
-            frame.index += 1
-            return True
+            return self._call_external(frame, instr, callee.name, args)
         self._push_call(callee, args, call_site=instr)
+        return True
+
+    def _call_external(self, frame: Frame, instr: Call, name: str,
+                       args: List[object]) -> bool:
+        """Run the external ``name`` for call ``instr`` and apply its
+        result: :data:`BLOCK` retries the call later (returns False),
+        a :class:`PushCall` runs an IR function first, anything else is
+        the call's value.  Shared by both engines."""
+        machine = self.machine
+        handler = machine.externals.get(name)
+        if handler is None:
+            raise RuntimeFault(
+                f"{self.name}: call to unknown external @{name}")
+        result = handler(machine, self, args)
+        if result is BLOCK:
+            machine.blocked_steps += 1
+            return False
+        if isinstance(result, PushCall):
+            self._push_call(result.function, result.args,
+                            call_site=instr if not result.replay
+                            else None,
+                            replay=result.replay)
+            if result.on_return is not None:
+                self.stack[-1].on_return = result.on_return
+            return True
+        if not instr.is_void:
+            frame.values[instr] = result
+        frame.index += 1
         return True
 
     def __repr__(self) -> str:
@@ -519,7 +519,12 @@ class ExecutionContext:
         return f"<ExecutionContext {self.name} mode={self.mode} {state}>"
 
 
-# -- pure-operation helpers ------------------------------------------------------
+# -- instruction semantics --------------------------------------------------------
+#
+# Each opcode's meaning is written once, in the three tables below.
+# The legacy step, the decoded engine's closures (repro.ir.engine) and
+# constant folding (repro.ir.passes.constfold) all evaluate through
+# them, so a fold, a legacy step and a decoded step cannot disagree.
 
 _INT64_MASK = (1 << 64) - 1
 
@@ -539,92 +544,112 @@ def _trunc_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
-def _apply_binop(instr: BinOp, lhs, rhs):
-    op = instr.op
-    if op.startswith("f"):
-        lhs, rhs = float(lhs), float(rhs)
-        if op == "fadd":
-            return lhs + rhs
-        if op == "fsub":
-            return lhs - rhs
-        if op == "fmul":
-            return lhs * rhs
-        if op == "fdiv":
-            if rhs == 0.0:
-                raise RuntimeFault("float division by zero")
-            return lhs / rhs
-    lhs, rhs = int(lhs), int(rhs)
-    if op == "add":
-        result = lhs + rhs
-    elif op == "sub":
-        result = lhs - rhs
-    elif op == "mul":
-        result = lhs * rhs
-    elif op in ("sdiv", "udiv"):
-        if rhs == 0:
-            raise RuntimeFault("integer division by zero")
-        result = _trunc_div(lhs, rhs) if op == "sdiv" else (
-            (lhs & _INT64_MASK) // (rhs & _INT64_MASK))
-    elif op in ("srem", "urem"):
-        if rhs == 0:
-            raise RuntimeFault("integer remainder by zero")
-        result = (lhs - _trunc_div(lhs, rhs) * rhs) if op == "srem" \
-            else ((lhs & _INT64_MASK) % (rhs & _INT64_MASK))
-    elif op == "and":
-        result = lhs & rhs
-    elif op == "or":
-        result = lhs | rhs
-    elif op == "xor":
-        result = lhs ^ rhs
-    elif op == "shl":
-        result = lhs << (rhs & 63)
-    elif op == "lshr":
-        result = (lhs & _INT64_MASK) >> (rhs & 63)
-    elif op == "ashr":
-        result = lhs >> (rhs & 63)
-    else:
-        raise RuntimeFault(f"unhandled binop {op}")
-    bits = instr.type.bits if isinstance(instr.type, IntType) else 64
-    return _wrap_signed(result, bits)
+def _unsigned(value) -> int:
+    return int(value) & _INT64_MASK
 
 
-def _apply_cmp(predicate: str, lhs, rhs) -> int:
-    if predicate.startswith("f"):
-        lhs, rhs = float(lhs), float(rhs)
-        predicate = predicate[1:]
-    else:
-        lhs, rhs = int(lhs), int(rhs)
-        if predicate.startswith("u"):
-            lhs &= _INT64_MASK
-            rhs &= _INT64_MASK
-            predicate = "s" + predicate[1:]
-        if predicate.startswith("s"):
-            predicate = predicate[1:]
-    table = {
-        "eq": lhs == rhs, "ne": lhs != rhs,
-        "lt": lhs < rhs, "le": lhs <= rhs,
-        "gt": lhs > rhs, "ge": lhs >= rhs,
-    }
-    try:
-        return 1 if table[predicate] else 0
-    except KeyError:
-        raise RuntimeFault(f"unhandled predicate {predicate}")
+_DIV_FAULT = "integer division by zero"
+_REM_FAULT = "integer remainder by zero"
+
+#: Binary opcode -> ``(coerce, fn, zero_fault)``: ``fn`` applied to
+#: both operands after ``coerce``; integer results then wrap to the
+#: instruction's width.  ``zero_fault`` is the fault raised when the
+#: coerced right operand is zero (None: the op is total).  Keys are
+#: exactly ``BINARY_OPS``.
+BINOP_SEMANTICS: Dict[str, Tuple[Callable, Callable, Optional[str]]] = {
+    "add": (int, operator.add, None),
+    "sub": (int, operator.sub, None),
+    "mul": (int, operator.mul, None),
+    "sdiv": (int, _trunc_div, _DIV_FAULT),
+    "udiv": (int, lambda a, b: (a & _INT64_MASK) // (b & _INT64_MASK),
+             _DIV_FAULT),
+    "srem": (int, lambda a, b: a - _trunc_div(a, b) * b, _REM_FAULT),
+    "urem": (int, lambda a, b: (a & _INT64_MASK) % (b & _INT64_MASK),
+             _REM_FAULT),
+    "and": (int, operator.and_, None),
+    "or": (int, operator.or_, None),
+    "xor": (int, operator.xor, None),
+    "shl": (int, lambda a, b: a << (b & 63), None),
+    "lshr": (int, lambda a, b: (a & _INT64_MASK) >> (b & 63), None),
+    "ashr": (int, lambda a, b: a >> (b & 63), None),
+    "fadd": (float, operator.add, None),
+    "fsub": (float, operator.sub, None),
+    "fmul": (float, operator.mul, None),
+    "fdiv": (float, operator.truediv, "float division by zero"),
+}
+
+#: Comparison predicate -> ``(coerce, compare)``; the result is 1 or
+#: 0.  Keys are exactly ``CMP_PREDICATES``.
+CMP_SEMANTICS: Dict[str, Tuple[Callable, Callable]] = {
+    "eq": (int, operator.eq), "ne": (int, operator.ne),
+    "slt": (int, operator.lt), "sle": (int, operator.le),
+    "sgt": (int, operator.gt), "sge": (int, operator.ge),
+    "ult": (_unsigned, operator.lt), "ule": (_unsigned, operator.le),
+    "ugt": (_unsigned, operator.gt), "uge": (_unsigned, operator.ge),
+    "feq": (float, operator.eq), "fne": (float, operator.ne),
+    "flt": (float, operator.lt), "fle": (float, operator.le),
+    "fgt": (float, operator.gt), "fge": (float, operator.ge),
+}
+
+#: Cast kind -> ``make(bits)`` returning the one-argument converter to
+#: a ``bits``-wide destination, or None: the value passes through
+#: unchanged (pointers keep their provenance for the memory model).
+#: Keys are exactly ``CAST_KINDS``.
+CAST_SEMANTICS: Dict[str, Optional[Callable]] = {
+    "bitcast": None, "inttoptr": None, "ptrtoint": None,
+    "trunc": lambda bits: lambda value: _wrap_signed(int(value), bits),
+    "zext": lambda bits: int, "sext": lambda bits: int,
+    "fptosi": lambda bits: int,
+    "sitofp": lambda bits: float,
+}
 
 
-def _apply_cast(instr: Cast, value):
-    kind = instr.kind
-    if kind in ("bitcast", "inttoptr", "ptrtoint"):
-        return value
-    if kind == "trunc":
-        bits = instr.to_type.bits  # type: ignore[attr-defined]
-        return _wrap_signed(int(value), bits)
-    if kind in ("zext", "sext"):
-        return int(value)
-    if kind == "sitofp":
-        return float(value)
-    if kind == "fptosi":
-        return int(value)
-    raise RuntimeFault(f"unhandled cast {kind}")
+def int_width(type: IRType) -> int:
+    """Bit width integer results of ``type`` wrap to (64 for
+    pointers and other non-integer types)."""
+    return type.bits if isinstance(type, IntType) else 64
+
+
+@functools.lru_cache(maxsize=None)
+def binop_function(op: str, bits: int) -> Callable:
+    """``evaluate(lhs, rhs)`` for binary ``op`` at width ``bits``,
+    built from :data:`BINOP_SEMANTICS` (memoized: the key space is
+    the opcodes times the integer widths)."""
+    coerce, fn, fault = BINOP_SEMANTICS[op]
+    if coerce is float:
+        def evaluate(a, b):
+            a, b = float(a), float(b)
+            if fault is not None and not b:
+                raise RuntimeFault(fault)
+            return fn(a, b)
+        return evaluate
+    mask = (1 << bits) - 1
+    sign = 1 << (bits - 1)
+    mod = 1 << bits
+
+    def evaluate(a, b):
+        a, b = int(a), int(b)
+        if fault is not None and not b:
+            raise RuntimeFault(fault)
+        r = fn(a, b) & mask
+        return r - mod if r >= sign else r
+    return evaluate
+
+
+@functools.lru_cache(maxsize=None)
+def cmp_function(predicate: str) -> Callable:
+    """``evaluate(lhs, rhs) -> 1 | 0`` for ``predicate``, built from
+    :data:`CMP_SEMANTICS`."""
+    coerce, compare = CMP_SEMANTICS[predicate]
+    return lambda a, b: 1 if compare(coerce(a), coerce(b)) else 0
+
+
+@functools.lru_cache(maxsize=None)
+def cast_function(kind: str, bits: int) -> Optional[Callable]:
+    """The converter of cast ``kind`` to a ``bits``-wide destination
+    (None for a pass-through cast), from :data:`CAST_SEMANTICS`."""
+    make = CAST_SEMANTICS[kind]
+    return None if make is None else make(bits)
 
 
 # -- the machine ----------------------------------------------------------------
@@ -794,6 +819,17 @@ class Machine:
             return self._addr_function[addr]
         except KeyError:
             raise RuntimeFault(f"indirect call to non-function address {addr}")
+
+    def definition_of(self, fn: Function) -> Function:
+        """The function a call to ``fn`` runs: a forward declaration
+        may be satisfied by a definition in another loaded module
+        (chunks reference each other this way); otherwise ``fn``
+        itself, an external when it is a declaration."""
+        if fn.is_declaration:
+            defined = self._functions_by_name.get(fn.name)
+            if defined is not None and not defined.is_declaration:
+                return defined
+        return fn
 
     def constant_value(self, const: Constant) -> object:
         if isinstance(const.value, str):

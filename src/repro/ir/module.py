@@ -87,17 +87,6 @@ class BasicBlock:
             return []
         return [b for b in self.parent.blocks if self in b.successors]
 
-    def replace_successor(self, old: "BasicBlock",
-                          new: "BasicBlock") -> None:
-        term = self.terminator
-        if isinstance(term, Jump) and term.target is old:
-            term.target = new
-        elif isinstance(term, Branch):
-            if term.then_block is old:
-                term.then_block = new
-            if term.else_block is old:
-                term.else_block = new
-
     def __repr__(self) -> str:
         return f"<BasicBlock {self.name} ({len(self.instructions)} instrs)>"
 
@@ -185,12 +174,6 @@ class Function(Value):
         for block in self.blocks:
             yield from list(block.instructions)
 
-    def block_named(self, name: str) -> BasicBlock:
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        raise IRError(f"function {self.name} has no block {name!r}")
-
     def short(self) -> str:
         return f"@{self.name}"
 
@@ -241,9 +224,6 @@ class Module:
             return self.globals[name]
         except KeyError:
             raise IRError(f"module {self.name} has no global @{name}")
-
-    def remove_function(self, name: str) -> None:
-        self.functions.pop(name, None)
 
     # -- queries ---------------------------------------------------------------
 

@@ -2,25 +2,26 @@
 
 Evaluates arithmetic, comparison, select and numeric-cast instructions
 whose operands are all constants, replacing their uses with the
-computed constant.  The evaluation reuses the interpreter's own
-helpers so a folded value is bit-for-bit what the runtime would have
-produced (same wrapping, same truncated division).
+computed constant.  The evaluation goes through the interpreter's
+per-opcode semantics tables, so a folded value is bit-for-bit what
+either engine would have produced (same wrapping, same truncated
+division).
 
-Folding is deliberately conservative about faults: a division or
-remainder by a constant zero is left in place so the runtime fault
-still fires at the original program point.
+Folding is deliberately conservative about faults: an operation whose
+evaluation faults (a division or remainder by a constant zero) is left
+in place so the runtime fault still fires at the original program
+point.  Pass-through casts are left alone too: they keep a pointer's
+provenance for the memory model.
 """
 
 from __future__ import annotations
 
+from repro.errors import RuntimeFault
 from repro.ir.instructions import BinOp, Cast, Cmp, Select
-from repro.ir.interp import _apply_binop, _apply_cast, _apply_cmp
+from repro.ir.interp import (binop_function, cast_function, cmp_function,
+                             int_width)
 from repro.ir.module import Function, Module
 from repro.ir.values import Constant
-
-#: Cast kinds safe to fold on numeric constants (pointer-ish casts
-#: keep their provenance for the memory model).
-_FOLDABLE_CASTS = frozenset({"trunc", "zext", "sext", "sitofp", "fptosi"})
 
 
 def constant_fold(target) -> int:
@@ -54,26 +55,26 @@ def _try_fold(instr):
         lhs, rhs = instr.lhs, instr.rhs
         if not (isinstance(lhs, Constant) and isinstance(rhs, Constant)):
             return None
-        if instr.op in ("sdiv", "udiv", "srem", "urem", "fdiv") and \
-                not rhs.value:
+        evaluate = binop_function(instr.op, int_width(instr.type))
+        try:
+            return Constant(instr.type, evaluate(lhs.value, rhs.value))
+        except RuntimeFault:
             return None  # preserve the runtime fault
-        return Constant(instr.type, _apply_binop(instr, lhs.value,
-                                                 rhs.value))
     if isinstance(instr, Cmp):
         lhs, rhs = instr.lhs, instr.rhs
         if isinstance(lhs, Constant) and isinstance(rhs, Constant):
-            return Constant(instr.type,
-                            _apply_cmp(instr.predicate, lhs.value,
-                                       rhs.value))
+            return Constant(instr.type, cmp_function(instr.predicate)(
+                lhs.value, rhs.value))
         return None
     if isinstance(instr, Select):
         if isinstance(instr.cond, Constant):
             return instr.true_value if instr.cond.value \
                 else instr.false_value
         return None
-    if isinstance(instr, Cast) and instr.kind in _FOLDABLE_CASTS:
+    if isinstance(instr, Cast):
+        convert = cast_function(instr.kind, int_width(instr.to_type))
         value = instr.value
-        if isinstance(value, Constant) and isinstance(
-                value.value, (int, float)):
-            return Constant(instr.type, _apply_cast(instr, value.value))
+        if convert is not None and isinstance(value, Constant) and \
+                isinstance(value.value, (int, float)):
+            return Constant(instr.type, convert(value.value))
     return None

@@ -47,10 +47,6 @@ class IRType:
         return self.with_color(None) if self.color is not None else self
 
     @property
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
-    @property
     def is_aggregate(self) -> bool:
         return isinstance(self, (ArrayType, StructType))
 

@@ -8,7 +8,7 @@ analyses rely on (paper references [1]) and supports
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from typing import Optional, Set
 
 from repro.errors import IRError
 from repro.ir.types import IRType, PointerType, VoidType
@@ -118,17 +118,3 @@ class Argument(Value):
         return f"%{self.name}"
 
 
-def ensure_same_type(values: Iterable[Value], context: str) -> IRType:
-    """Check that all ``values`` share one type (ignoring colors) and
-    return it."""
-    first: Optional[IRType] = None
-    for v in values:
-        stripped = v.type.strip_color()
-        if first is None:
-            first = stripped
-        elif stripped != first:
-            raise IRError(
-                f"{context}: mismatched operand types {first} vs {stripped}")
-    if first is None:
-        raise IRError(f"{context}: no operands")
-    return first

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.obs.export import metrics_to_json, metrics_to_text
+from repro.obs.export import metrics_to_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sgx.costmodel import CostParams, MACHINE_A
@@ -221,6 +221,3 @@ class Observability:
 
     def metrics_text(self) -> str:
         return metrics_to_text(self.publish())
-
-    def metrics_json(self) -> str:
-        return metrics_to_json(self.publish())

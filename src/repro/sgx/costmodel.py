@@ -153,10 +153,6 @@ class CostMeter:
         self.charge("privagic_msg",
                     n * self.params.privagic_message_cycles, n)
 
-    def sdk_calls(self, n: int) -> None:
-        self.charge("sdk_switchless",
-                    n * self.params.sdk_switchless_cycles, n)
-
     def ecalls(self, n: int) -> None:
         self.charge("ecall", n * self.params.ecall_cycles, n)
 

@@ -39,9 +39,6 @@ class Enclave:
         return sum(1 for line in self.text.splitlines()
                    if line.strip() and not line.startswith(";"))
 
-    def code_bytes(self) -> int:
-        return len(self.text.encode())
-
     def __repr__(self) -> str:
         return (f"<Enclave {self.color} measurement="
                 f"{self.measurement[:12]}...>")
@@ -115,12 +112,3 @@ class EnclaveManager:
         globals), in bytes."""
         return self.machine.memory.region_slots(
             enclave_region(color)) * self.slot_bytes
-
-    def total_resident_bytes(self) -> int:
-        return sum(self.resident_bytes(c) for c in self.enclaves)
-
-    def epc_pressure(self, color: str) -> float:
-        """Resident size relative to the EPC (values above 1.0 page)."""
-        if self.epc_bytes <= 0:
-            return 0.0
-        return self.resident_bytes(color) / self.epc_bytes

@@ -52,11 +52,6 @@ _SPECS = {w.name: w for w in (WORKLOAD_A, WORKLOAD_B, WORKLOAD_C,
                               WORKLOAD_D, WORKLOAD_F)}
 
 
-def workload_names() -> List[str]:
-    """The canonical workload names, in YCSB order."""
-    return list(_SPECS)
-
-
 def workload_by_name(name: str) -> WorkloadSpec:
     """Look up a workload by name.
 
