@@ -32,7 +32,7 @@ import sys
 
 import pytest
 
-from repro.bench import Report, capture_trace, measure, speedup
+from repro.bench import Report, capture_trace, measure, publish, speedup
 from repro.core.colors import RELAXED
 from repro.core.compiler import compile_and_partition
 from repro.frontend import compile_source
@@ -222,16 +222,6 @@ def regenerate_dispatch_report() -> Report:
         assert fig7 >= 5.0, \
             f"pre-decoded engine below 5x on fig7: {fig7:.2f}x"
     return report
-
-
-def publish(report: Report) -> None:
-    """Print the report; a full run also rewrites the committed
-    ``benchmarks/results`` copy, which smoke-sized numbers must not
-    replace."""
-    if SMOKE:
-        print(report.text())
-    else:
-        report.write()
 
 
 def bench_interp_dispatch(benchmark):

@@ -23,7 +23,8 @@ speedup is that.
 Results go to ``BENCH_serve.json`` at the repo root (ops/s and
 p50/p95/p99 per cell) plus the usual benchmark report.  Smoke mode
 (``REPRO_BENCH_SMOKE=1`` or ``--smoke``) shrinks the op counts and
-the client matrix for CI.
+the client matrix for CI, and only prints the report: the committed
+``benchmarks/results/serve.txt`` keeps the full-run numbers.
 """
 
 import json
@@ -33,7 +34,7 @@ import sys
 
 import pytest
 
-from repro.bench import Report
+from repro.bench import Report, publish
 from repro.serve.engine import SecureKVEngine, compile_secure_kv
 from repro.serve.loadgen import run_load
 from repro.serve.router import RouterConfig, RouterThread
@@ -276,14 +277,11 @@ def regenerate_serve_report() -> Report:
 
 
 def bench_serve(benchmark):
-    report = benchmark(regenerate_serve_report)
-    report.write()
+    publish(benchmark(regenerate_serve_report))
 
 
 if __name__ == "__main__":
     if "--smoke" in sys.argv and not SMOKE:
         os.environ["REPRO_BENCH_SMOKE"] = "1"
         os.execv(sys.executable, [sys.executable, __file__])
-    report = regenerate_serve_report()
-    report.write()
-    print(report.text())
+    publish(regenerate_serve_report())

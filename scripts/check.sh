@@ -1,5 +1,6 @@
 #!/bin/sh
-# Repo check: tier-1 test suite + interpreter-dispatch smoke run.
+# Repo check: lean gate + tier-1 test suite + interpreter-dispatch
+# smoke run.
 #
 # Usage: scripts/check.sh [extra pytest args]
 #   REPRO_ENGINE=legacy scripts/check.sh   # check the legacy engine
@@ -12,6 +13,9 @@
 set -e
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
+
+# Lean gate: no unused import anywhere under src/repro.
+python scripts/lean.py
 
 # An explicit -m overrides the addopts default, so exclude both
 # out-of-band marker families here.

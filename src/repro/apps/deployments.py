@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 from repro.baselines.intelsdk import IntelSDKDeployment
 from repro.baselines.scone import SconeDeployment

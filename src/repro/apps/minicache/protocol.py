@@ -17,7 +17,7 @@ Responses::
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 CRLF = "\r\n"
 

@@ -10,8 +10,8 @@ the Figure 8 experiment aggregates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.apps.minicache import protocol
 from repro.apps.minicache.lru import LRUIndex

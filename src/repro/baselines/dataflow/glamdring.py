@@ -16,7 +16,7 @@ enclave region) whose soundness the Figure 3 bench probes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.baselines.dataflow.taint import (
     AbstractInterpTaint,

@@ -10,14 +10,13 @@ trade-off the Table 1 bench quantifies.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from repro.ir.instructions import (
     Alloca,
     Call,
     Cast,
     GEP,
-    Instruction,
     Load,
     Phi,
     Ret,
@@ -25,7 +24,7 @@ from repro.ir.instructions import (
     Store,
 )
 from repro.ir.module import Function, Module
-from repro.ir.values import Argument, GlobalVariable, Value
+from repro.ir.values import GlobalVariable, Value
 
 #: Heap-allocating externals treated as allocation sites.
 _ALLOCATORS = frozenset({"malloc", "__privagic_alloc"})

@@ -22,17 +22,14 @@ AndersenTaint       points-to based       flow-insensitive: sound on
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.dataflow.pointsto import AndersenPointsTo, Location
 from repro.ir.cfg import reverse_postorder
 from repro.ir.instructions import (
     Alloca,
-    BinOp,
-    Branch,
     Call,
     Cast,
-    Cmp,
     GEP,
     Instruction,
     Load,

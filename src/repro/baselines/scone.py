@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sgx.costmodel import CostMeter, KIB, MIB
+from repro.sgx.costmodel import CostMeter
 
 
 #: Table 4 constants (KiB of binary inside the enclave).

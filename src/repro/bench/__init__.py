@@ -8,8 +8,8 @@ paper-vs-measured values for EXPERIMENTS.md.
 """
 
 from repro.bench.harness import (Report, band_check,
-                                 capture_trace, format_table)
+                                 capture_trace, format_table, publish)
 from repro.bench.timing import Timing, measure, speedup
 
 __all__ = ["Report", "band_check", "capture_trace", "format_table",
-           "Timing", "measure", "speedup"]
+           "publish", "Timing", "measure", "speedup"]

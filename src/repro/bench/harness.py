@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 def format_table(headers: Sequence[str],
@@ -79,6 +79,16 @@ class Report:
             handle.write(self.text())
         print(self.text())
         return path
+
+
+def publish(report: Report) -> None:
+    """Print the report; a full run also rewrites the committed
+    ``benchmarks/results`` copy, which smoke-sized numbers
+    (``REPRO_BENCH_SMOKE=1``) must not replace."""
+    if os.environ.get("REPRO_BENCH_SMOKE") == "1":
+        print(report.text())
+    else:
+        report.write()
 
 
 def capture_trace(program, path: str, entry: str = "main",

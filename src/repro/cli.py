@@ -426,14 +426,20 @@ def cmd_run(options) -> int:
 
 
 def cmd_serve(options) -> int:
+    """``repro serve``: the single-process server, or with
+    ``--shards N`` the router over N shard workers — one path, two
+    loops."""
     import signal
     import threading
 
+    from repro.serve.router import RouterConfig, ShardRouter
     from repro.serve.server import PrivagicServer, ServeConfig
 
-    if options.shards is not None:
-        return _cmd_serve_sharded(options)
-    if options.kill_shard is not None:
+    sharded = options.shards is not None
+    if sharded and options.shards < 1:
+        print("error: --shards must be >= 1", file=sys.stderr)
+        return 1
+    if not sharded and options.kill_shard is not None:
         print("error: --kill-shard requires --shards",
               file=sys.stderr)
         return 1
@@ -441,7 +447,7 @@ def cmd_serve(options) -> int:
     if options.trace or options.stats:
         from repro.obs import Observability
         obs = Observability(trace=options.trace is not None)
-    config = ServeConfig(
+    common = dict(
         host=options.host, port=options.port, batch=options.batch,
         queue_depth=options.queue_depth,
         capacity_bytes=options.capacity_bytes,
@@ -449,29 +455,51 @@ def cmd_serve(options) -> int:
         watchdog_steps=options.watchdog_steps,
         max_requests=options.max_requests)
     if options.batch_window is not None:
-        config.batch_window = options.batch_window
-    server = PrivagicServer(
-        config,
-        registry=obs.registry if obs is not None else None,
-        tracer=obs.tracer if obs is not None else None)
-    if obs is not None:
-        obs.attach(server.engine.runtime)
-    injector = _build_injector(options, server.engine.program)
-    if injector is not None:
-        injector.attach(server.engine.runtime)
-        print(f"chaos: injecting [{injector.plan.spec()}]",
-              file=sys.stderr)
-    port = server.bind()
-    print(f"serve: listening on {options.host}:{port} "
+        common["batch_window"] = options.batch_window
+    observe = dict(registry=obs.registry if obs is not None else None,
+                   tracer=obs.tracer if obs is not None else None)
+    injector = None
+    if sharded:
+        loop = ShardRouter(RouterConfig(
+            shards=options.shards,
+            on_death=options.on_death,
+            max_restarts=options.max_restarts,
+            spawn_timeout=options.spawn_timeout,
+            connect_timeout=options.connect_timeout,
+            connect_retries=options.connect_retries,
+            probe_interval=options.probe_interval,
+            probe_timeout=options.probe_timeout,
+            forward_timeout=options.forward_timeout,
+            orphan_timeout=options.orphan_timeout,
+            net_inject=options.net_inject,
+            net_chaos_seed=options.net_chaos_seed,
+            crash_after=_parse_kill_shard(options.kill_shard,
+                                          options.shards)
+            if options.kill_shard is not None else {},
+            inject=options.inject, chaos_seed=options.chaos_seed,
+            **common), **observe)
+        where = f"routing {{}} over {options.shards} shard(s)"
+    else:
+        loop = PrivagicServer(ServeConfig(**common), **observe)
+        if obs is not None:
+            obs.attach(loop.engine.runtime)
+        injector = _build_injector(options, loop.engine.program)
+        if injector is not None:
+            injector.attach(loop.engine.runtime)
+            print(f"chaos: injecting [{injector.plan.spec()}]",
+                  file=sys.stderr)
+        where = "listening on {}"
+    port = loop.bind()
+    print(f"serve: {where.format(f'{options.host}:{port}')} "
           f"(batch={options.batch}, "
           f"queue-depth={options.queue_depth})", flush=True)
     previous_handler = None
     in_main = threading.current_thread() is threading.main_thread()
     if in_main:
         previous_handler = signal.signal(
-            signal.SIGINT, lambda *_args: server.request_stop())
+            signal.SIGINT, lambda *_args: loop.request_stop())
     try:
-        server.serve_forever()
+        loop.serve_forever()
     finally:
         if in_main and previous_handler is not None:
             signal.signal(signal.SIGINT, previous_handler)
@@ -483,14 +511,23 @@ def cmd_serve(options) -> int:
                       f"({len(obs.tracer.events)} events)",
                       file=sys.stdout if sys.exc_info()[0] is None
                       else sys.stderr)
-    registry = server.registry
-    requests = registry.counter("serve.requests").get()
-    drives = registry.counter("serve.drives").get()
-    batch_hist = registry.histogram("serve.batch_size")
-    print(f"serve: {'drained cleanly' if server.drained else 'stopped'}: "
-          f"{requests} request(s) over {drives} drive(s) "
-          f"(mean batch {batch_hist.mean:.2f}), "
-          f"shed={registry.counter('serve.shed').get()}")
+    registry = loop.registry
+    if sharded:
+        stats = loop.stats()
+        summary = (f"{stats['routed']} request(s) over "
+                   f"{stats['shards']} shard(s), "
+                   f"ledger={stats['ledger_keys']} key(s), "
+                   f"restarts={stats['restarts']}, "
+                   f"shed={registry.counter('router.shed').get()}")
+    else:
+        summary = (f"{registry.counter('serve.requests').get()} "
+                   f"request(s) over "
+                   f"{registry.counter('serve.drives').get()} drive(s) "
+                   f"(mean batch "
+                   f"{registry.histogram('serve.batch_size').mean:.2f}), "
+                   f"shed={registry.counter('serve.shed').get()}")
+    print(f"serve: {'drained cleanly' if loop.drained else 'stopped'}: "
+          f"{summary}")
     if injector is not None:
         print(f"faults: injected={injector.injected_total()} "
               f"detected={injector.detected_total()} "
@@ -517,81 +554,6 @@ def _parse_kill_shard(spec: str, shards: int):
         raise PrivagicError(
             f"--kill-shard op count must be >= 1, got {after}")
     return {index: after}
-
-
-def _cmd_serve_sharded(options) -> int:
-    import signal
-    import threading
-
-    from repro.serve.router import RouterConfig, ShardRouter
-
-    if options.shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 1
-    obs = None
-    if options.trace or options.stats:
-        from repro.obs import Observability
-        obs = Observability(trace=options.trace is not None)
-    config = RouterConfig(
-        host=options.host, port=options.port,
-        shards=options.shards, batch=options.batch,
-        batch_window=options.batch_window,
-        queue_depth=options.queue_depth,
-        capacity_bytes=options.capacity_bytes,
-        engine=options.engine, max_steps=options.max_steps,
-        watchdog_steps=options.watchdog_steps,
-        max_requests=options.max_requests,
-        on_death=options.on_death,
-        max_restarts=options.max_restarts,
-        spawn_timeout=options.spawn_timeout,
-        connect_timeout=options.connect_timeout,
-        connect_retries=options.connect_retries,
-        probe_interval=options.probe_interval,
-        probe_timeout=options.probe_timeout,
-        forward_timeout=options.forward_timeout,
-        orphan_timeout=options.orphan_timeout,
-        net_inject=options.net_inject,
-        net_chaos_seed=options.net_chaos_seed,
-        crash_after=_parse_kill_shard(options.kill_shard,
-                                      options.shards)
-        if options.kill_shard is not None else {},
-        inject=options.inject, chaos_seed=options.chaos_seed)
-    router = ShardRouter(
-        config,
-        registry=obs.registry if obs is not None else None,
-        tracer=obs.tracer if obs is not None else None)
-    port = router.bind()
-    print(f"serve: routing {options.host}:{port} over "
-          f"{options.shards} shard(s) (batch={options.batch}, "
-          f"queue-depth={options.queue_depth})",
-          flush=True)
-    in_main = threading.current_thread() is threading.main_thread()
-    previous_handler = None
-    if in_main:
-        previous_handler = signal.signal(
-            signal.SIGINT, lambda *_args: router.request_stop())
-    try:
-        router.serve_forever()
-    finally:
-        if in_main and previous_handler is not None:
-            signal.signal(signal.SIGINT, previous_handler)
-        if obs is not None and options.trace:
-            obs.write_trace(options.trace)
-            print(f"trace: wrote {options.trace} "
-                  f"({len(obs.tracer.events)} events)",
-                  file=sys.stdout if sys.exc_info()[0] is None
-                  else sys.stderr)
-    stats = router.stats()
-    registry = router.registry
-    print(f"serve: "
-          f"{'drained cleanly' if router.drained else 'stopped'}: "
-          f"{stats['routed']} request(s) over {stats['shards']} "
-          f"shard(s), ledger={stats['ledger_keys']} key(s), "
-          f"restarts={stats['restarts']}, "
-          f"shed={registry.counter('router.shed').get()}")
-    if obs is not None and options.stats:
-        print(obs.metrics_text())
-    return 0
 
 
 def cmd_loadgen(options) -> int:
@@ -623,19 +585,11 @@ def cmd_loadgen(options) -> int:
 def _build_injector(options, program):
     """The fault injector requested by --inject / --chaos-seed, or
     ``None`` for an honest run."""
-    if options.inject is None and options.chaos_seed is None:
-        return None
     from repro.faults import FaultInjector, FaultPlan
 
-    if options.inject is not None:
-        plan = FaultPlan.parse(options.inject,
-                               seed=options.chaos_seed or 0)
-    else:
-        colors = sorted(set(program.chunk_colors.values())
-                        - {program.untrusted})
-        plan = FaultPlan.random(options.chaos_seed, colors,
-                                untrusted=program.untrusted)
-    return FaultInjector(plan)
+    plan = FaultPlan.requested(options.inject, options.chaos_seed,
+                               program)
+    return None if plan is None else FaultInjector(plan)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -53,9 +53,7 @@ from repro.core.colors import (
     S,
     U,
     compatible,
-    is_free,
     is_named,
-    is_untrusted,
     untrusted_color,
 )
 from repro.ir.cfg import blocks_influenced_by
@@ -85,7 +83,7 @@ from repro.ir.types import (
     PointerType,
     StructType,
 )
-from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
 from repro.ir.passes import mem2reg
 
 #: Pseudo-home of pure-F instructions: present in every chunk (§7.3.1).

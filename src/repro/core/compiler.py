@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.analysis import AnalysisResult
-from repro.core.colors import HARDENED, RELAXED
+from repro.core.colors import HARDENED
 from repro.core.partition import PartitionedProgram
 from repro.ir.module import Module
 from repro.pipeline import CompilationContext, PassManager

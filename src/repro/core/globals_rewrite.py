@@ -21,9 +21,9 @@ from typing import Dict, List, Tuple
 
 from repro.core.analysis import location_color
 from repro.core.colors import is_named
-from repro.ir.instructions import GEP, Instruction
-from repro.ir.module import Function, Module
-from repro.ir.types import ArrayType, PointerType, StructField, StructType
+from repro.ir.instructions import GEP
+from repro.ir.module import Module
+from repro.ir.types import ArrayType, StructField, StructType
 from repro.ir.values import Constant, GlobalVariable
 
 SHARED_BLOCK = "__privagic_shared"

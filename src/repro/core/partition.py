@@ -46,23 +46,19 @@ from repro.errors import PartitionError
 from repro.core.analysis import (
     AnalysisResult,
     FunctionAnalysis,
-    REPLICATED,
 )
-from repro.core.colors import F, HARDENED, S, U, is_named, is_untrusted
+from repro.core.colors import F, HARDENED, U, is_named, is_untrusted
 from repro.ir.cfg import DominatorTree
 from repro.ir.instructions import (
-    Alloca,
     Branch,
     Call,
     Instruction,
     Jump,
-    Load,
     Phi,
     Ret,
     Store,
 )
 from repro.ir.module import BasicBlock, Function, Module, clone_function
-from repro.ir.printer import print_instruction
 from repro.ir.types import (
     ArrayType,
     FunctionType,
@@ -74,7 +70,6 @@ from repro.ir.types import (
 from repro.ir.values import (
     Argument,
     Constant,
-    GlobalVariable,
     UndefValue,
     Value,
 )

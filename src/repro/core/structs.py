@@ -20,10 +20,10 @@ restriction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import PartitionError
-from repro.core.colors import HARDENED, RELAXED, is_named
+from repro.core.colors import HARDENED, is_named
 from repro.ir.instructions import Alloca, Call, Cast, GEP, Store
 from repro.ir.module import Function, Module
 from repro.ir.types import (

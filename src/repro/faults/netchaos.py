@@ -213,7 +213,6 @@ def _one_run(program, net_inject: Optional[str], chaos_seed: int,
             forward_timeout=2.5, connect_timeout=2.0,
             connect_retries=2, backoff_base=0.05, backoff_cap=0.2,
             replay_timeout=5.0, drain_timeout=5.0,
-            external_reconnect=True,
             net_inject=net_inject, net_chaos_seed=chaos_seed)
         router = RouterThread(config)
         router.start()

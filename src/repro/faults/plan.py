@@ -217,6 +217,21 @@ class FaultPlan:
         return cls(entries, seed=seed)
 
     @classmethod
+    def requested(cls, inject: Optional[str], seed: Optional[int],
+                  program) -> Optional["FaultPlan"]:
+        """The plan an ``--inject SPEC`` / ``--chaos-seed SEED`` pair
+        asks for (``None`` for an honest run): an explicit spec wins,
+        a bare seed draws a random plan over ``program``'s enclave
+        colors."""
+        if inject is not None:
+            return cls.parse(inject, seed=seed or 0)
+        if seed is None:
+            return None
+        colors = sorted(set(program.chunk_colors.values())
+                        - {program.untrusted})
+        return cls.random(seed, colors, untrusted=program.untrusted)
+
+    @classmethod
     def random(cls, seed: int, colors: Sequence[str],
                untrusted: str = "U",
                externals: Optional[Sequence[str]] = None,

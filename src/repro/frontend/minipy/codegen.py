@@ -35,7 +35,6 @@ from repro.ir import (
     I1,
     I8,
     I64,
-    VOID,
 )
 from repro.ir.types import IntType
 from repro.secval.lowering import auto_declare_builtin, validate_annotation

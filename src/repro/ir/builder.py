@@ -27,7 +27,7 @@ from repro.ir.instructions import (
     Unreachable,
 )
 from repro.ir.module import BasicBlock, Function
-from repro.ir.types import IntType, IRType, I1, I32, I64, F64
+from repro.ir.types import IRType, I1, I32, I64, F64
 from repro.ir.values import Constant, Value
 
 

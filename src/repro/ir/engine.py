@@ -1040,7 +1040,14 @@ def _compile_cast(machine: Machine, instr: Cast, nxt: int) -> Op:
     vkind, val = _operand(machine, instr.value)
 
     if vkind == "const":
-        folded = val if convert is None else convert(val)
+        try:
+            folded = val if convert is None else convert(val)
+        except RuntimeFault as fault:
+            message = str(fault)
+
+            def op(ctx, frame):
+                raise RuntimeFault(message)
+            return op
 
         def op(ctx, frame):
             frame.values[instr] = folded

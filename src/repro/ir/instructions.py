@@ -19,11 +19,9 @@ from repro.errors import IRError
 from repro.ir.types import (
     ArrayType,
     FunctionType,
-    IntType,
     IRType,
     PointerType,
     StructType,
-    VoidType,
     register_type,
     I1,
     VOID,

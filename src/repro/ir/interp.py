@@ -537,6 +537,23 @@ def _wrap_signed(value: int, bits: int) -> int:
     return value
 
 
+def _fptosi(bits: int) -> Callable:
+    """fptosi to a ``bits``-wide integer: truncate toward zero, and
+    fault on NaN, an infinity or a value the width cannot hold."""
+    low, high = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+
+    def convert(value):
+        try:
+            result = int(value)
+        except (OverflowError, ValueError):
+            result = None
+        if result is None or not low <= result <= high:
+            raise RuntimeFault(
+                f"fptosi of {value!r} does not fit in i{bits}")
+        return result
+    return convert
+
+
 def _trunc_div(a: int, b: int) -> int:
     """C-style truncated integer division (exact — no float detour,
     which would corrupt 64-bit hash values)."""
@@ -594,12 +611,13 @@ CMP_SEMANTICS: Dict[str, Tuple[Callable, Callable]] = {
 #: Cast kind -> ``make(bits)`` returning the one-argument converter to
 #: a ``bits``-wide destination, or None: the value passes through
 #: unchanged (pointers keep their provenance for the memory model).
+#: Only fptosi can fault.
 #: Keys are exactly ``CAST_KINDS``.
 CAST_SEMANTICS: Dict[str, Optional[Callable]] = {
     "bitcast": None, "inttoptr": None, "ptrtoint": None,
     "trunc": lambda bits: lambda value: _wrap_signed(int(value), bits),
     "zext": lambda bits: int, "sext": lambda bits: int,
-    "fptosi": lambda bits: int,
+    "fptosi": _fptosi,
     "sitofp": lambda bits: float,
 }
 

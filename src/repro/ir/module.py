@@ -24,7 +24,7 @@ from repro.ir.instructions import (
     Phi,
 )
 from repro.ir.types import FunctionType, IRType, PointerType, StructType
-from repro.ir.values import Argument, Constant, GlobalVariable, Value
+from repro.ir.values import Argument, GlobalVariable, Value
 
 
 class BasicBlock:

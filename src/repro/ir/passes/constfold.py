@@ -8,9 +8,10 @@ either engine would have produced (same wrapping, same truncated
 division).
 
 Folding is deliberately conservative about faults: an operation whose
-evaluation faults (a division or remainder by a constant zero) is left
-in place so the runtime fault still fires at the original program
-point.  Pass-through casts are left alone too: they keep a pointer's
+evaluation faults (a division or remainder by a constant zero, an
+fptosi of NaN, an infinity or an out-of-range value) is left in place
+so the runtime fault still fires at the original program point.
+Pass-through casts are left alone too: they keep a pointer's
 provenance for the memory model.
 """
 
@@ -76,5 +77,8 @@ def _try_fold(instr):
         value = instr.value
         if convert is not None and isinstance(value, Constant) and \
                 isinstance(value.value, (int, float)):
-            return Constant(instr.type, convert(value.value))
+            try:
+                return Constant(instr.type, convert(value.value))
+            except RuntimeFault:
+                return None  # preserve the runtime fault
     return None

@@ -8,7 +8,7 @@ residue of the global/struct rewritings.
 
 from __future__ import annotations
 
-from repro.ir.instructions import Instruction, Phi
+from repro.ir.instructions import Phi
 from repro.ir.module import Function, Module
 
 

@@ -19,7 +19,7 @@ sees the same influenced regions before and after.
 from __future__ import annotations
 
 from repro.ir.cfg import reachable_blocks
-from repro.ir.instructions import Branch, Jump, Phi
+from repro.ir.instructions import Branch, Jump
 from repro.ir.module import Function, Module
 from repro.ir.values import Constant, UndefValue
 

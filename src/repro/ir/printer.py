@@ -26,9 +26,9 @@ from repro.ir.instructions import (
     Store,
     Unreachable,
 )
-from repro.ir.module import BasicBlock, Function, Module
+from repro.ir.module import Function, Module
 from repro.ir.types import StructType
-from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
 
 
 class _Namer:

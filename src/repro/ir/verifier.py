@@ -13,7 +13,7 @@ Checks the invariants every pass and analysis assumes:
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Set
 
 from repro.errors import IRError
 from repro.ir.instructions import Instruction, Load, Phi, Store

@@ -12,14 +12,13 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.errors import IRError
 from repro.pipeline.context import CompilationContext, PassTiming
 from repro.pipeline.passes import (
     ConstFoldPass,
     DCEPass,
-    FunctionPass,
     Mem2RegPass,
     OptimizePlacementPass,
     PartitionPass,

@@ -33,7 +33,7 @@ these colors remain, carried on IR types.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.errors import SecureTypeError
 

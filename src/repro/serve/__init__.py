@@ -2,9 +2,11 @@
 
 The evaluation measures partitioned memcached end-to-end: real
 clients, real sockets, YCSB traffic.  This package is that missing
-transport: a selectors-based TCP server hosting the compiled
-partitioned KV application behind the minicache text protocol
-(:mod:`repro.serve.server`), the secure-engine bridge that batches
+transport: one connection shell — listener, framing, per-connection
+in-order replies, drain — that both serving loops run on
+(:mod:`repro.serve.shell`), a selectors-based TCP server hosting the
+compiled partitioned KV application behind the minicache text
+protocol (:mod:`repro.serve.server`), the secure-engine bridge that batches
 pending requests into single interpreter drives
 (:mod:`repro.serve.engine`), incremental request/response framing
 with malformed-input rejection (:mod:`repro.serve.framing`), a

@@ -17,13 +17,14 @@
   raw frames down per-shard connections, and re-merges the replies.
 
 **Ordering.**  Replies must reach each client in request order even
-though different shards answer at different speeds.  Every admitted
-request becomes a *slot* appended to its connection's FIFO; a shard
-connection is itself a FIFO (one worker loop, replies in request
-order), so the router pairs each incoming reply with the oldest
-outstanding slot of that shard, and a connection flushes exactly the
-ready *prefix* of its slot queue — a fast shard's replies wait in
-their slots until the slow shard's earlier replies land.
+though different shards answer at different speeds.  The router runs
+on the connection shell of :mod:`repro.serve.shell`: every request
+becomes a *slot* in its connection's FIFO, and a connection flushes
+exactly the answered *prefix* of that FIFO.  A shard connection is
+itself a FIFO (one worker loop, replies in request order), so the
+router pairs each incoming reply with the oldest outstanding slot of
+that shard — a fast shard's replies wait in their slots until the
+slow shard's earlier replies land.
 
 **Integrity.**  Each worker already cross-checks its untrusted store
 against its enclave index (a lying store dies as an
@@ -34,9 +35,8 @@ with bytes whose digest disagrees with the ledger, confirms a ``set``
 with anything but ``STORED``, or reports a ``delete`` outcome that
 contradicts the ledger raises :class:`IagoFault` at the router — a
 whole lying shard *process* is detected, extending the PR-4 Iago
-machinery across the process boundary.  (With ``strict_miss``, the
-default, an unexpected miss is also a fault; disable it only when
-shard caches are sized to evict, where a miss is legitimate.)
+machinery across the process boundary.  A miss for a key the ledger
+holds is a fault too.
 
 **Failure detection** (:mod:`repro.serve.health`).  A dead shard
 announces itself as a connection error — but a wedged worker, a cut
@@ -51,8 +51,10 @@ per-shard circuit breaker caps *consecutive* recoveries so a
 flapping shard cannot burn restarts forever.
 
 **Recovery.**  On a confirmed death the router first distinguishes a
-dead *link* from a dead *process*: if the worker process (or
-external endpoint) is still there, it reconnects and rebuilds the
+dead *link* from a dead *process*: if the worker process is still
+there, or the shard is an external endpoint (which cannot be
+respawned, so one bounded reconnect is its only recovery), it
+reconnects and rebuilds the
 connection-level state by *exact replay* — the compacted log of
 acknowledged mutations (final ``set`` frame per live key, in
 first-insertion order) is replayed and every reply checked, then
@@ -84,8 +86,6 @@ import os
 import selectors
 import socket
 import subprocess
-import sys
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -102,11 +102,7 @@ from repro.faults.netchaos import NetChaos
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.engine import SecureKVEngine
-from repro.serve.framing import (
-    FrameError,
-    RequestFramer,
-    ResponseFramer,
-)
+from repro.serve.framing import FrameError, ResponseFramer
 from repro.serve.hashring import HashRing
 from repro.serve.health import (
     CircuitBreaker,
@@ -114,7 +110,16 @@ from repro.serve.health import (
     connect_with_backoff,
     probe_key,
 )
+from repro.serve.server import ServeConfig
 from repro.serve.shard_worker import READY_PREFIX, worker_command
+from repro.serve.shell import (
+    IDLE_POLL,
+    Connection,
+    ConnectionShell,
+    LoopThread,
+    Slot,
+    Stream,
+)
 
 #: Valid ``RouterConfig.on_death`` policies.
 DEATH_POLICIES = ("restart", "rebalance", "degrade", "fault")
@@ -135,7 +140,6 @@ class RouterConfig:
     max_steps: int = 50_000_000
     watchdog_steps: Optional[int] = None
     max_requests: Optional[int] = None  # route N requests, then drain
-    idle_poll: float = 0.05
     drain_timeout: float = 10.0
     spawn_timeout: float = 60.0    # worker ready-line deadline
     connect_timeout: float = 10.0  # per-attempt shard connect cap
@@ -150,13 +154,11 @@ class RouterConfig:
     #: A busy shard whose oldest in-flight request is older than
     #: this is dead (None disables the check).
     forward_timeout: Optional[float] = None
-    replicas: int = 64             # ring points per shard
     #: Confirmed-death policy: restart | rebalance | degrade | fault.
     on_death: str = "restart"
     max_restarts: int = 3          # consecutive-recovery breaker budget
-    strict_miss: bool = True       # unexpected miss => IagoFault
     #: shard index -> simulated-AEX op count (chaos, see
-    #: repro.serve.shard_worker --crash-after).
+    #: repro.serve.shard_worker.CrashingKVEngine).
     crash_after: Dict[int, int] = field(default_factory=dict)
     inject: Optional[str] = None   # per-worker fault schedule
     chaos_seed: Optional[int] = None
@@ -170,15 +172,14 @@ class RouterConfig:
     orphan_timeout: Optional[float] = None
     #: Pre-started shard endpoints (tests, in-process chaos sweeps):
     #: connect instead of spawning.  External shards cannot be
-    #: respawned; a dead link is reconnected only under
-    #: ``external_reconnect`` (or a rebalance/degrade policy) —
-    #: otherwise death stays an EnclaveCrash.
+    #: respawned: a dead one gets one bounded reconnect, and if that
+    #: is refused its death is an EnclaveCrash (or a rebalance/degrade
+    #: removal under those policies).
     external_shards: Optional[Sequence[Tuple[str, int]]] = None
-    external_reconnect: bool = False
 
 
-class _Slot:
-    """One admitted request awaiting its in-order reply.
+class _Slot(Slot):
+    """One routed request awaiting its in-order reply.
 
     ``conn`` is ``None`` for router-internal slots — liveness probes
     (``command="probe"``) and rebalance traffic (``"migrate"`` /
@@ -187,60 +188,34 @@ class _Slot:
     sweep ages against.
     """
 
-    __slots__ = ("conn", "command", "key", "expect", "frame",
-                 "response", "sent_at")
+    __slots__ = ("command", "key", "expect", "sent_at")
 
-    def __init__(self, conn: Optional["_ClientConn"],
-                 command: Optional[str],
-                 key: Optional[str], expect=None, frame: str = ""):
-        self.conn = conn
+    def __init__(self, conn: Optional[Connection], command: str,
+                 key: str, frame: str, expect=None):
+        super().__init__(conn, frame)
         self.command = command
         self.key = key
         self.expect = expect
-        self.frame = frame
-        self.response: Optional[str] = None
         self.sent_at = 0.0
 
 
-class _ClientConn:
-    """One client session: framer in, ordered slot FIFO out."""
-
-    __slots__ = ("sock", "addr", "conn_id", "framer", "slots", "out",
-                 "closed", "close_after_flush", "requests")
-
-    def __init__(self, sock: socket.socket, addr, conn_id: int):
-        self.sock = sock
-        self.addr = addr
-        self.conn_id = conn_id
-        self.framer = RequestFramer()
-        self.slots: Deque[_Slot] = deque()
-        self.out = bytearray()
-        self.closed = False
-        self.close_after_flush = False
-        self.requests = 0
-
-    @property
-    def track(self) -> str:
-        return f"conn.{self.conn_id}"
-
-
-class _Shard:
+class _Shard(Stream):
     """Router-side state of one worker: process handle, pipelined
-    connection, reply FIFO, and the acknowledged-mutation replay
-    log."""
+    link (a shell :class:`~repro.serve.shell.Stream`), reply FIFO,
+    and the acknowledged-mutation replay log."""
 
-    __slots__ = ("index", "name", "proc", "port", "host", "sock",
-                 "out", "rframer", "inflight", "acked_log",
-                 "restarts", "forwarded", "breaker")
+    __slots__ = ("index", "name", "proc", "port", "host", "rframer",
+                 "inflight", "acked_log", "restarts", "forwarded",
+                 "breaker")
 
-    def __init__(self, index: int, breaker_budget: int = 3):
+    def __init__(self, index: int, breaker_budget: int, on_read,
+                 on_write):
+        super().__init__(None, on_read, on_write)
         self.index = index
         self.name = f"shard{index}"
         self.proc: Optional[subprocess.Popen] = None
         self.port: Optional[int] = None
         self.host = "127.0.0.1"
-        self.sock: Optional[socket.socket] = None
-        self.out = bytearray()
         self.rframer = ResponseFramer()
         self.inflight: Deque[_Slot] = deque()
         #: key -> the latest *acknowledged* set frame; replaying
@@ -256,19 +231,22 @@ class _Shard:
         return f"shard.{self.index}"
 
 
-class ShardRouter:
+class ShardRouter(ConnectionShell):
     """The front router loop (see module docstring).
 
-    Lifecycle mirrors :class:`~repro.serve.server.PrivagicServer`:
-    ``bind()`` then ``serve_forever()``; ``request_stop()`` drains; a
+    Lifecycle is the shell's, as for
+    :class:`~repro.serve.server.PrivagicServer`: ``bind()`` then
+    ``serve_forever()``; ``request_stop()`` drains; a
     :class:`RuntimeFault` (lying shard, unrecovered crash) aborts
     with the typed fault re-raised.
     """
 
+    metrics = "router"
+
     def __init__(self, config: Optional[RouterConfig] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer=None):
-        self.config = config or RouterConfig()
+        super().__init__(config or RouterConfig(), registry, tracer)
         if self.config.shards < 1:
             raise ValueError("a sharded server needs >= 1 shard")
         if self.config.on_death not in DEATH_POLICIES:
@@ -276,15 +254,12 @@ class ShardRouter:
                 f"unknown on_death policy "
                 f"{self.config.on_death!r} (expected one of "
                 f"{', '.join(DEATH_POLICIES)})")
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        self.tracer = tracer
         self.shards: List[_Shard] = [
-            _Shard(i, breaker_budget=self.config.max_restarts)
+            _Shard(i, self.config.max_restarts,
+                   self._on_shard_readable, self._flush_shard)
             for i in range(self.config.shards)]
         self._by_name = {shard.name: shard for shard in self.shards}
-        self.ring = HashRing([shard.name for shard in self.shards],
-                             replicas=self.config.replicas)
+        self.ring = HashRing([shard.name for shard in self.shards])
         self.monitor = HealthMonitor(
             probe_interval=self.config.probe_interval,
             probe_timeout=self.config.probe_timeout,
@@ -306,63 +281,12 @@ class ShardRouter:
         self.deaths = 0
         self.reconnects = 0
         self.rebalances = 0
-        self.selector: Optional[selectors.BaseSelector] = None
-        self.listener: Optional[socket.socket] = None
-        self.connections: Dict[int, _ClientConn] = {}
-        self.port: Optional[int] = None
-        self.drained = False
-        self.fault: Optional[BaseException] = None
-        self._stop = False
         self._routed = 0
-        self._next_conn_id = 0
         self._dirty_shards: set = set()
-        self._dirty_conns: set = set()
-        self._workers_up = False
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def bind(self) -> int:
-        if self.listener is not None:
-            return self.port
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.config.host, self.config.port))
-        sock.listen(256)
-        sock.setblocking(False)
-        self.selector = selectors.DefaultSelector()
-        self.selector.register(sock, selectors.EVENT_READ, None)
-        self.listener = sock
-        self.port = sock.getsockname()[1]
-        return self.port
-
-    def request_stop(self) -> None:
-        """Signal-safe: ask the loop to drain and shut down."""
-        self._stop = True
-
-    def serve_forever(self) -> None:
-        if self.listener is None:
-            self.bind()
-        try:
-            self._start_workers()
-            while not self._stop:
-                self._round()
-            self._drain()
-        except RuntimeFault as fault:
-            self.fault = fault
-            self._abort()
-            raise
-        finally:
-            self._stop_workers()
-            self._close_listener()
-            if self.selector is not None:
-                self.selector.close()
-                self.selector = None
 
     # -- worker management -------------------------------------------------------
 
-    def _start_workers(self) -> None:
-        if self._workers_up:
-            return
+    def _start(self) -> None:
         external = self.config.external_shards
         if external is not None:
             if len(external) != len(self.shards):
@@ -384,27 +308,25 @@ class ShardRouter:
             for shard in self.shards:
                 shard.port = self._await_ready(shard)
                 self._connect_shard(shard)
-        self._workers_up = True
         self._publish_ring()
 
     def _spawn(self, shard: _Shard,
                crash_after: int = 0) -> subprocess.Popen:
-        argv = worker_command(
-            shard.index, batch=self.config.batch,
+        config = self.config
+        worker = ServeConfig(
+            batch=config.batch,
             # Workers must never shed a routed request (the router's
             # admission cap is the only shedding point), so their
             # queue is strictly deeper than the in-flight cap.
-            queue_depth=self.config.queue_depth * 2
-            + self.config.batch,
-            capacity_bytes=self.config.capacity_bytes,
-            engine=self.config.engine,
-            max_steps=self.config.max_steps,
-            watchdog_steps=self.config.watchdog_steps,
-            batch_window=self.config.batch_window,
-            crash_after=crash_after,
-            inject=self.config.inject,
-            chaos_seed=self.config.chaos_seed,
-            orphan_timeout=self.config.orphan_timeout)
+            queue_depth=config.queue_depth * 2 + config.batch,
+            capacity_bytes=config.capacity_bytes, engine=config.engine,
+            max_steps=config.max_steps,
+            watchdog_steps=config.watchdog_steps,
+            orphan_timeout=config.orphan_timeout)
+        if config.batch_window is not None:
+            worker.batch_window = config.batch_window
+        argv = worker_command(shard.index, worker, crash_after,
+                              config.inject, config.chaos_seed)
         env = dict(os.environ)
         package_root = os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__))))
@@ -496,18 +418,11 @@ class ShardRouter:
                 {shard.name: round(shares.get(shard.name, 0.0), 4)
                  for shard in self.shards})
 
-    def _stop_workers(self) -> None:
+    def _finish(self) -> None:
+        """Stop every worker (spawned ones are terminated)."""
+        self.registry.gauge("router.ledger_keys").set(len(self.ledger))
         for shard in self.shards:
-            if shard.sock is not None:
-                try:
-                    self.selector.unregister(shard.sock)
-                except (KeyError, ValueError, OSError):
-                    pass
-                try:
-                    shard.sock.close()
-                except OSError:
-                    pass
-                shard.sock = None
+            self._drop(shard)
             proc = shard.proc
             if proc is None:
                 continue
@@ -521,98 +436,37 @@ class ShardRouter:
             if proc.stdout is not None:
                 proc.stdout.close()
             shard.proc = None
-        self._workers_up = False
 
     # -- the event round ---------------------------------------------------------
 
-    def _round(self, timeout: Optional[float] = None) -> None:
-        self._dirty_shards.clear()
-        self._dirty_conns.clear()
+    def _round(self) -> None:
         while self._readds:
             self._readd_shard(self.shards[self._readds.popleft()])
-        events = self.selector.select(
-            self.config.idle_poll if timeout is None else timeout)
-        for key, mask in events:
-            data = key.data
-            if data is None:
-                self._accept_ready()
-            elif isinstance(data, _Shard):
-                if mask & selectors.EVENT_READ:
-                    self._on_shard_readable(data)
-                if data.sock is not None and \
-                        mask & selectors.EVENT_WRITE:
-                    self._flush_shard(data)
-            else:
-                if mask & selectors.EVENT_READ:
-                    self._on_client_readable(data)
-                if not data.closed and \
-                        mask & selectors.EVENT_WRITE:
-                    self._flush_conn(data)
+        self._poll(IDLE_POLL)
         if self.monitor.enabled:
             self._health_sweep()
         # One coalesced write per shard/connection per round: the
         # frames routed this round reach each worker as a single
         # segment, which is what its batching loop turns into one
         # interpreter drive.
-        for shard in list(self._dirty_shards):
-            self._flush_shard(shard)
-        for conn in list(self._dirty_conns):
-            if not conn.closed:
-                self._flush_conn(conn)
+        while self._dirty_shards:
+            self._flush_shard(self._dirty_shards.pop())
+        self._flush_replies()
+
+    def _busy(self) -> bool:
+        return any(shard.inflight or shard.out for shard in self.shards)
+
+    def _wrap_client(self, sock):
+        if self.netchaos is None:
+            return sock
+        return self.netchaos.wrap(sock, "client")
 
     # -- client side -------------------------------------------------------------
 
-    def _accept_ready(self) -> None:
-        while True:
-            try:
-                sock, addr = self.listener.accept()
-            except (BlockingIOError, InterruptedError, OSError):
-                return
-            sock.setblocking(False)
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP,
-                                socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-            if self.netchaos is not None:
-                sock = self.netchaos.wrap(sock, "client")
-            self._next_conn_id += 1
-            conn = _ClientConn(sock, addr, self._next_conn_id)
-            self.connections[sock.fileno()] = conn
-            self.selector.register(sock, selectors.EVENT_READ, conn)
-            self.registry.inc("router.connections")
-            self.registry.gauge("router.open_connections").inc()
-            if self.tracer is not None:
-                self.tracer.serve_mark(
-                    "accept", conn.track,
-                    {"peer": f"{addr[0]}:{addr[1]}"})
-
-    def _on_client_readable(self, conn: _ClientConn) -> None:
-        try:
-            data = conn.sock.recv(65536)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._close_conn(conn)
-            return
-        if not data:
-            self._close_conn(conn)
-            return
-        self.registry.inc("router.bytes_in", len(data))
-        conn.framer.feed(data)
-        frames, error = conn.framer.drain()
-        for raw in frames:
-            self._route(conn, raw)
-        if error is not None:
-            self.registry.inc("router.bad_frames")
-            self._answer(conn, protocol.ERROR)
-            conn.close_after_flush = True
-
-    def _route(self, conn: _ClientConn, raw: str) -> None:
-        conn.requests += 1
+    def _on_frame(self, conn: Connection, raw: str) -> None:
         if self._stop:
             self.registry.inc("router.shed")
-            self._answer(conn, protocol.SERVER_BUSY)
+            self.answer(conn, protocol.SERVER_BUSY)
             return
         try:
             request = protocol.parse_request(raw)
@@ -620,7 +474,7 @@ class ShardRouter:
             # Recoverable garbage: the router answers ERROR itself
             # (in order, through the slot queue) — no shard hop.
             self.registry.inc("router.errors")
-            self._answer(conn, protocol.ERROR)
+            self.answer(conn, protocol.ERROR)
             return
         if self.lost and request.key in self.lost:
             if request.command == "set":
@@ -634,14 +488,14 @@ class ShardRouter:
                 # unchanged; the request can be retried after
                 # request_readd().
                 self.registry.inc("router.unavailable")
-                self._answer(conn, protocol.SHARD_UNAVAILABLE)
+                self.answer(conn, protocol.SHARD_UNAVAILABLE)
                 return
         shard = self._by_name[self.ring.lookup(request.key)]
         if len(shard.inflight) >= self.config.queue_depth:
             self.registry.inc("router.shed")
-            self._answer(conn, protocol.SERVER_BUSY)
+            self.answer(conn, protocol.SERVER_BUSY)
             return
-        slot = _Slot(conn, request.command, request.key, frame=raw)
+        slot = _Slot(conn, request.command, request.key, raw)
         # Forward-time ledger bookkeeping: the expectation each reply
         # will be verified against, consistent with the pipelined
         # prefix this shard will have applied by then.
@@ -654,11 +508,8 @@ class ShardRouter:
             slot.expect = request.key in self.ledger
             self.ledger.pop(request.key, None)
         conn.slots.append(slot)
-        slot.sent_at = time.monotonic()
-        shard.inflight.append(slot)
-        shard.out += raw.encode("latin-1")
+        self._forward(shard, slot)
         shard.forwarded += 1
-        self._dirty_shards.add(shard)
         self._routed += 1
         self.registry.inc("router.requests")
         self.registry.inc(f"router.forwarded[{shard.index}]")
@@ -668,13 +519,17 @@ class ShardRouter:
         if limit is not None and self._routed >= limit:
             self._stop = True
 
-    def _answer(self, conn: _ClientConn, response: str) -> None:
-        """Queue an immediate router-generated response, preserving
-        per-connection order behind any in-flight slots."""
-        slot = _Slot(conn, None, None)
-        slot.response = response
-        conn.slots.append(slot)
-        self._pump_conn(conn)
+    def _forward(self, shard: _Shard, slot: _Slot) -> None:
+        """Send ``slot`` down ``shard``'s pipe: it joins the shard's
+        reply FIFO, and its frame the shard's next coalesced write.
+        Every forward takes this one path — client requests, probes,
+        migrations, evictions, reroutes and re-issues — so each lands
+        in the order it was queued, and migrated state reaches a shard
+        before anything routed to it afterwards."""
+        slot.sent_at = time.monotonic()
+        shard.inflight.append(slot)
+        shard.out += slot.frame.encode("latin-1")
+        self._dirty_shards.add(shard)
 
     # -- shard side --------------------------------------------------------------
 
@@ -708,7 +563,7 @@ class ShardRouter:
             self._verify(shard, slot, response)
             if slot.conn is not None:
                 slot.response = response
-                self._pump_conn(slot.conn)
+                self.pump(slot.conn)
 
     def _verify(self, shard: _Shard, slot: _Slot,
                 response: str) -> None:
@@ -746,17 +601,10 @@ class ShardRouter:
         if slot.command == "get":
             if response == protocol.END:
                 if slot.expect is not None:
-                    if self.config.strict_miss:
-                        raise IagoFault(
-                            f"shard {shard.index} reports a miss "
-                            f"for key {slot.key!r} but the router "
-                            f"ledger holds digest "
-                            f"{slot.expect:#x}")
-                    # Relaxed: shard caches may evict; forget the
-                    # key so the system stays consistent.
-                    self.registry.inc("router.relaxed_misses")
-                    self.ledger.pop(slot.key, None)
-                    shard.acked_log.pop(slot.key, None)
+                    raise IagoFault(
+                        f"shard {shard.index} reports a miss for key "
+                        f"{slot.key!r} but the router ledger holds "
+                        f"digest {slot.expect:#x}")
                 return
             try:
                 value = protocol.parse_value_response(response)
@@ -823,29 +671,16 @@ class ShardRouter:
         down this shard's pipe (ring ownership is irrelevant — the
         probe tests the link, not the placement)."""
         key = probe_key(shard.name)
-        frame = protocol.encode_get(key)
-        slot = _Slot(None, "probe", key, frame=frame)
-        slot.sent_at = now
-        shard.inflight.append(slot)
-        shard.out += frame.encode("latin-1")
-        self._dirty_shards.add(shard)
+        self._forward(shard, _Slot(None, "probe", key,
+                                   protocol.encode_get(key)))
         self.monitor.note_probe(shard.name, now)
         self.registry.inc("router.probes")
 
     # -- shard death and exact replay --------------------------------------------
 
     def _shard_died(self, shard: _Shard, why: str) -> None:
-        if shard.sock is None:
+        if not self._drop(shard):
             return
-        try:
-            self.selector.unregister(shard.sock)
-        except (KeyError, ValueError, OSError):
-            pass
-        try:
-            shard.sock.close()
-        except OSError:
-            pass
-        shard.sock = None
         self._dirty_shards.discard(shard)
         shard.breaker.trip()
         self.deaths += 1
@@ -877,9 +712,9 @@ class ShardRouter:
                 f"(budget {self.config.max_restarts}); last: {why}")
         external = self.config.external_shards is not None
         on_death = self.config.on_death
-        if process_alive or (external and (
-                self.config.external_reconnect
-                or on_death in ("rebalance", "degrade"))):
+        if process_alive or external:
+            # A live worker or an endpoint that cannot be respawned:
+            # one bounded reconnect first.
             try:
                 self._reconnect_shard(shard)
                 return
@@ -888,24 +723,17 @@ class ShardRouter:
                 if process_alive:
                     proc.kill()
                     exit_code = proc.wait()
-                    process_alive = False
                 if external and on_death not in ("rebalance",
                                                  "degrade"):
                     raise EnclaveCrash(
                         f"shard {shard.index} died ({why}) and its "
                         f"external endpoint refused reconnection; "
                         f"external shards cannot be respawned")
-        if external and on_death not in ("rebalance",
-                                         "degrade"):
-            raise EnclaveCrash(
-                f"shard {shard.index} died ({why}, exit "
-                f"{exit_code}) with {len(shard.inflight)} "
-                f"request(s) in flight and no process to restart")
         if proc is not None:
             if proc.stdout is not None:
                 proc.stdout.close()
             shard.proc = None
-        if on_death == "restart" and not external:
+        if on_death == "restart":
             self._restart_shard(shard)
         elif on_death == "rebalance":
             self._rebalance_away(shard, why)
@@ -940,7 +768,7 @@ class ShardRouter:
         """Exact restart-and-replay: fresh worker, replay the acked
         mutation log, re-forward the in-flight frames in order."""
         t0 = time.monotonic()
-        # A --crash-after chaos fuse is deliberately not re-armed:
+        # A crash_after chaos fuse is deliberately not re-armed:
         # the injected AEX fires once, like a PR-4 enclave-restart.
         shard.proc = self._spawn(shard, crash_after=0)
         shard.port = self._await_ready(shard)
@@ -964,14 +792,13 @@ class ShardRouter:
         frames were, by definition, not acked."""
         replayed = self._replay(shard)
         shard.out = bytearray()
-        now = time.monotonic()
-        for slot in shard.inflight:
-            shard.out += slot.frame.encode("latin-1")
-            slot.sent_at = now
-        self.registry.inc("router.reissued_requests",
-                          len(shard.inflight))
+        reissued, shard.inflight = shard.inflight, deque()
+        for slot in reissued:
+            self._forward(shard, slot)
+        self.registry.inc("router.reissued_requests", len(reissued))
         self.selector.register(shard.sock, selectors.EVENT_READ,
                                shard)
+        now = time.monotonic()
         self.monitor.attach(shard.name, now)
         if shard.inflight and any(s.command == "probe"
                                   for s in shard.inflight):
@@ -1020,17 +847,6 @@ class ShardRouter:
 
     # -- ring rebalancing and degraded mode --------------------------------------
 
-    def _internal_forward(self, shard: _Shard, command: str,
-                          key: str, frame: str) -> None:
-        """Queue a router-internal frame (migration / eviction) on a
-        shard's normal FIFO — ordered like any client request, so
-        migrated state lands before anything routed afterwards."""
-        slot = _Slot(None, command, key, frame=frame)
-        slot.sent_at = time.monotonic()
-        shard.inflight.append(slot)
-        shard.out += frame.encode("latin-1")
-        self._dirty_shards.add(shard)
-
     def _reroute_inflight(self, shard: _Shard,
                           degrade: bool = False) -> int:
         """Move a dead shard's in-flight slots to the new ring
@@ -1041,7 +857,6 @@ class ShardRouter:
         pending = shard.inflight
         shard.inflight = deque()
         shard.out = bytearray()
-        now = time.monotonic()
         rerouted = 0
         for slot in pending:
             if slot.command in ("probe", "evict"):
@@ -1058,15 +873,11 @@ class ShardRouter:
                     self.lost.pop(slot.key, None)
                 self.registry.inc("router.unavailable")
                 slot.response = protocol.SHARD_UNAVAILABLE
-                self._pump_conn(slot.conn)
+                self.pump(slot.conn)
                 continue
             if degrade and slot.command in ("set", "migrate"):
                 self.lost.pop(slot.key, None)
-            target = self._by_name[self.ring.lookup(slot.key)]
-            slot.sent_at = now
-            target.inflight.append(slot)
-            target.out += slot.frame.encode("latin-1")
-            self._dirty_shards.add(target)
+            self._forward(self._by_name[self.ring.lookup(slot.key)], slot)
             rerouted += 1
         self.registry.inc("router.reissued_requests", rerouted)
         return rerouted
@@ -1086,7 +897,7 @@ class ShardRouter:
         migrated = 0
         for key, frame in shard.acked_log.items():
             owner = self._by_name[self.ring.lookup(key)]
-            self._internal_forward(owner, "migrate", key, frame)
+            self._forward(owner, _Slot(None, "migrate", key, frame))
             migrated += 1
         shard.acked_log = {}
         rerouted = self._reroute_inflight(shard)
@@ -1154,8 +965,8 @@ class ShardRouter:
         # the retained frame.
         for key in list(self.lost):
             owner = self._by_name[self.ring.lookup(key)]
-            self._internal_forward(owner, "migrate", key,
-                                   self.lost.pop(key))
+            self._forward(owner, _Slot(None, "migrate", key,
+                                       self.lost.pop(key)))
             moved += 1
         self.registry.gauge("router.lost_keys").set(len(self.lost))
         # Then keys a survivor currently holds: copy the freshest
@@ -1181,9 +992,9 @@ class ShardRouter:
                         frame = None
             if holder is None or frame is None:
                 continue
-            self._internal_forward(shard, "migrate", key, frame)
-            self._internal_forward(holder, "evict", key,
-                                   protocol.encode_delete(key))
+            self._forward(shard, _Slot(None, "migrate", key, frame))
+            self._forward(holder, _Slot(None, "evict", key,
+                                        protocol.encode_delete(key)))
             moved += 1
         self.registry.inc("router.migrated_keys", moved)
         self._publish_ring()
@@ -1191,127 +1002,15 @@ class ShardRouter:
             self.tracer.serve_mark(
                 "readd", shard.track, {"migrated": moved})
 
-    # -- writes ------------------------------------------------------------------
-
-    def _pump_conn(self, conn: _ClientConn) -> None:
-        """Move the ready prefix of the slot queue into the output
-        buffer; actual socket writes happen once per round."""
-        slots = conn.slots
-        while slots and slots[0].response is not None:
-            slot = slots.popleft()
-            if not conn.closed:
-                conn.out += slot.response.encode("latin-1")
-                self.registry.inc("router.replies")
-        if conn.out and not conn.closed:
-            self._dirty_conns.add(conn)
-
-    def _flush_conn(self, conn: _ClientConn) -> None:
-        while conn.out:
-            try:
-                sent = conn.sock.send(conn.out)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self._close_conn(conn)
-                return
-            if sent <= 0:
-                break
-            self.registry.inc("router.bytes_out", sent)
-            del conn.out[:sent]
-        if conn.out:
-            events = selectors.EVENT_READ | selectors.EVENT_WRITE
-        else:
-            events = selectors.EVENT_READ
-            if conn.close_after_flush and not conn.slots:
-                self._close_conn(conn)
-                return
-        try:
-            self.selector.modify(conn.sock, events, conn)
-        except (KeyError, ValueError, OSError):
-            pass
+    # -- shard writes ------------------------------------------------------------
 
     def _flush_shard(self, shard: _Shard) -> None:
         if shard.sock is None:
             return
-        while shard.out:
-            try:
-                sent = shard.sock.send(shard.out)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError as error:
-                self._shard_died(shard, f"write failed: {error}")
-                return
-            if sent <= 0:
-                break
-            del shard.out[:sent]
-        events = selectors.EVENT_READ | selectors.EVENT_WRITE \
-            if shard.out else selectors.EVENT_READ
         try:
-            self.selector.modify(shard.sock, events, shard)
-        except (KeyError, ValueError, OSError):
-            pass
-
-    def _close_conn(self, conn: _ClientConn) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
-        try:
-            self.selector.unregister(conn.sock)
-        except (KeyError, ValueError, OSError):
-            pass
-        self.connections.pop(conn.sock.fileno(), None)
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-        self._dirty_conns.discard(conn)
-        self.registry.gauge("router.open_connections").dec()
-        if self.tracer is not None:
-            self.tracer.serve_mark("close", conn.track,
-                                   {"requests": conn.requests})
-
-    # -- teardown ----------------------------------------------------------------
-
-    def _drain(self) -> None:
-        """Graceful shutdown: resolve every in-flight slot, flush
-        every reply, then stop the workers."""
-        self._close_listener()
-        deadline = time.monotonic() + self.config.drain_timeout
-        while time.monotonic() < deadline and any(
-                shard.inflight or shard.out
-                for shard in self.shards):
-            self._round(timeout=0.05)
-        while time.monotonic() < deadline and any(
-                conn.out for conn in self.connections.values()
-                if not conn.closed):
-            self._round(timeout=0.05)
-        self.drained = not any(shard.inflight or shard.out
-                               for shard in self.shards) \
-            and not any(conn.out
-                        for conn in self.connections.values())
-        self.registry.gauge("router.ledger_keys").set(
-            len(self.ledger))
-        for conn in list(self.connections.values()):
-            self._close_conn(conn)
-
-    def _abort(self) -> None:
-        self._close_listener()
-        for conn in list(self.connections.values()):
-            self._close_conn(conn)
-
-    def _close_listener(self) -> None:
-        if self.listener is None:
-            return
-        try:
-            if self.selector is not None:
-                self.selector.unregister(self.listener)
-        except (KeyError, ValueError, OSError):
-            pass
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-        self.listener = None
+            shard.flush(self.selector)
+        except OSError as error:
+            self._shard_died(shard, f"write failed: {error}")
 
     # -- introspection -----------------------------------------------------------
 
@@ -1337,46 +1036,13 @@ class ShardRouter:
         }
 
 
-class RouterThread:
-    """Run a :class:`ShardRouter` on a daemon thread — the shape the
-    tests, the benchmark and the check.sh smoke share (mirrors
-    :class:`~repro.serve.server.ServerThread`)."""
+class RouterThread(LoopThread):
+    """Run a :class:`ShardRouter` on a daemon thread (see
+    :class:`~repro.serve.shell.LoopThread`)."""
+
+    timeout = 30.0
 
     def __init__(self, config: Optional[RouterConfig] = None,
                  **kwargs):
         self.router = ShardRouter(config, **kwargs)
-        self.error: Optional[BaseException] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> int:
-        port = self.router.bind()
-
-        def run():
-            try:
-                self.router.serve_forever()
-            except BaseException as error:
-                self.error = error
-
-        self._thread = threading.Thread(target=run, daemon=True,
-                                        name="repro-serve-router")
-        self._thread.start()
-        return port
-
-    def stop(self, timeout: float = 30.0) -> None:
-        self.router.request_stop()
-        self.join(timeout)
-
-    def join(self, timeout: float = 30.0) -> None:
-        if self._thread is None:
-            return
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("router loop did not stop in time")
-
-    def __enter__(self) -> "RouterThread":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._thread is not None and self._thread.is_alive():
-            self.stop()
+        super().__init__(self.router, "repro-serve-router")

@@ -1,9 +1,10 @@
 """The selectors-based TCP server hosting the partitioned KV app.
 
 One thread, one event loop (the paper's memcached is event-based,
-§9.2): a non-blocking listener plus per-connection sessions, each
-with its own :class:`~repro.serve.framing.RequestFramer`.  Complete
-requests are *not* executed inline — they enter a bounded pending
+§9.2), on the connection shell of :mod:`repro.serve.shell`: the
+listener, per-connection framing, in-order replies and shutdown live
+there, and this module is the server's policy.  Complete requests are
+*not* executed inline — they enter a bounded pending
 queue, and each scheduling round pops up to ``batch`` of them into a
 single :meth:`~repro.serve.engine.SecureKVEngine.execute` drive.
 That is the batching the evaluation measures: enclave-transition and
@@ -12,9 +13,11 @@ clients share them (``serve.batch_size`` / ``serve.queue_depth``
 histograms show the effect; ``bench_serve`` quantifies it).
 
 Admission control: when the pending queue is full the request is
-answered ``SERVER_BUSY`` immediately and counted in ``serve.shed`` —
-the queue bounds memory and tail latency instead of accepting
-unbounded work.
+answered ``SERVER_BUSY`` without queueing and counted in
+``serve.shed`` — the queue bounds memory and tail latency instead of
+accepting unbounded work.  The answer still leaves in its turn: a
+client that pipelines past the bound reads its earlier requests'
+replies first.
 
 Shutdown is drain-and-stop: :meth:`PrivagicServer.request_stop`
 (signal-safe; the CLI wires SIGINT to it) stops accepting, the
@@ -34,20 +37,23 @@ detects a lying store rather than serving its answer.
 
 from __future__ import annotations
 
-import selectors
-import socket
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 from repro.apps.minicache import protocol
 from repro.apps.minicache.server import MiniCache
-from repro.errors import IagoFault, RuntimeFault
+from repro.errors import IagoFault
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.engine import SecureKVEngine
-from repro.serve.framing import RequestFramer
+from repro.serve.shell import (
+    IDLE_POLL,
+    Connection,
+    ConnectionShell,
+    LoopThread,
+    Slot,
+)
 
 
 @dataclass
@@ -64,7 +70,6 @@ class ServeConfig:
     max_steps: int = 50_000_000    # per-drive scheduler budget
     watchdog_steps: Optional[int] = None
     max_requests: Optional[int] = None  # accept N requests, then drain
-    idle_poll: float = 0.05        # selector timeout when queue empty
     drain_timeout: float = 5.0     # reply-flush deadline on shutdown
     #: Self-terminate after having served at least one connection and
     #: then sitting connection-free for this long.  Shard workers run
@@ -74,34 +79,14 @@ class ServeConfig:
     orphan_timeout: Optional[float] = None
 
 
-class _Connection:
-    """One client session: framer in, reply buffer out."""
+class _Pending(Slot):
+    """A queued request: its reply slot, the parse result (``None``
+    when unparseable) and the enqueue time in tracer microseconds."""
 
-    __slots__ = ("sock", "addr", "conn_id", "framer", "out",
-                 "closed", "close_after_flush", "requests")
-
-    def __init__(self, sock: socket.socket, addr, conn_id: int,
-                 framer: RequestFramer):
-        self.sock = sock
-        self.addr = addr
-        self.conn_id = conn_id
-        self.framer = framer
-        self.out = bytearray()
-        self.closed = False
-        self.close_after_flush = False
-        self.requests = 0
-
-    @property
-    def track(self) -> str:
-        return f"conn.{self.conn_id}"
+    __slots__ = ("request", "ts")
 
 
-#: A queued request: (connection, raw text, parse result or None,
-#: enqueue timestamp in tracer microseconds).
-_Pending = Tuple[_Connection, str, Optional[protocol.Request], float]
-
-
-class PrivagicServer:
+class PrivagicServer(ConnectionShell):
     """The serving loop (see module docstring).
 
     Parameters
@@ -122,14 +107,13 @@ class PrivagicServer:
         omitted.
     """
 
+    metrics = "serve"
+
     def __init__(self, config: Optional[ServeConfig] = None,
                  registry: Optional[MetricsRegistry] = None,
                  tracer=None,
                  engine: Optional[SecureKVEngine] = None):
-        self.config = config or ServeConfig()
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        self.tracer = tracer
+        super().__init__(config or ServeConfig(), registry, tracer)
         self.engine = engine if engine is not None else SecureKVEngine(
             engine=self.config.engine,
             max_steps=self.config.max_steps,
@@ -138,74 +122,25 @@ class PrivagicServer:
         self._evicted: List[str] = []
         self.cache.on_evict = self._evicted.append
         self.pending: Deque[_Pending] = deque()
-        self.selector: Optional[selectors.BaseSelector] = None
-        self.listener: Optional[socket.socket] = None
-        self.connections: Dict[int, _Connection] = {}
-        self.port: Optional[int] = None
-        self.drained = False
-        self.fault: Optional[BaseException] = None
-        self._stop = False
         self._accepted = 0          # requests admitted to the queue
-        self._next_conn_id = 0
         self._oldest_pending_ts = 0.0   # batch-window anchor
         self._orphan_since: Optional[float] = None
 
-    # -- lifecycle ---------------------------------------------------------------
+    def _round(self) -> None:
+        before = self._accepted
+        self._poll(0.0 if self.pending else IDLE_POLL)
+        if self.pending and self._round_ready(before):
+            self._drive_round()
+        self._flush_replies()
+        self._check_orphaned()
 
-    def bind(self) -> int:
-        """Create and register the listening socket; returns the
-        bound port (meaningful with the ephemeral ``port=0``)."""
-        if self.listener is not None:
-            return self.port
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.config.host, self.config.port))
-        sock.listen(128)
-        sock.setblocking(False)
-        self.selector = selectors.DefaultSelector()
-        self.selector.register(sock, selectors.EVENT_READ, None)
-        self.listener = sock
-        self.port = sock.getsockname()[1]
-        return self.port
-
-    def request_stop(self) -> None:
-        """Ask the loop to drain and shut down.  Only sets a flag, so
-        it is safe from signal handlers and other threads."""
-        self._stop = True
-
-    def serve_forever(self) -> None:
-        """Run until :meth:`request_stop` (drains cleanly) or a
-        :class:`RuntimeFault` (aborts, fault re-raised)."""
-        if self.listener is None:
-            self.bind()
-        try:
-            while not self._stop:
-                timeout = 0.0 if self.pending else \
-                    self.config.idle_poll
-                before = self._accepted
-                for key, mask in self.selector.select(timeout):
-                    if key.data is None:
-                        self._accept_ready()
-                    else:
-                        conn = key.data
-                        if mask & selectors.EVENT_READ:
-                            self._on_readable(conn)
-                        if not conn.closed and \
-                                mask & selectors.EVENT_WRITE:
-                            self._flush(conn)
-                if self.pending and self._round_ready(before):
-                    self._drive_round()
-                self._check_orphaned()
-            self._drain()
-        except RuntimeFault as fault:
-            self.fault = fault
-            self._abort()
-            raise
-        finally:
-            self._close_listener()
-            if self.selector is not None:
-                self.selector.close()
-                self.selector = None
+    def _drain(self) -> None:
+        # Every admitted request is answered however long that takes;
+        # only the reply flush is bounded by drain_timeout.
+        self._close_listener()
+        while self.pending:
+            self._drive_round()
+        super()._drain()
 
     def _check_orphaned(self) -> None:
         """Arm/advance the orphan clock (see
@@ -222,78 +157,28 @@ class PrivagicServer:
             self.registry.inc("serve.orphan_exits")
             self._stop = True
 
-    # -- accept / read -----------------------------------------------------------
-
-    def _accept_ready(self) -> None:
-        while True:
-            try:
-                sock, addr = self.listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            sock.setblocking(False)
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP,
-                                socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-            self._next_conn_id += 1
-            conn = _Connection(sock, addr, self._next_conn_id,
-                               RequestFramer())
-            self.connections[sock.fileno()] = conn
-            self.selector.register(sock, selectors.EVENT_READ, conn)
-            self.registry.inc("serve.connections")
-            self.registry.gauge("serve.open_connections").inc()
-            if self.tracer is not None:
-                self.tracer.serve_mark("accept", conn.track,
-                                       {"peer": f"{addr[0]}:{addr[1]}"})
-
-    def _on_readable(self, conn: _Connection) -> None:
-        try:
-            data = conn.sock.recv(65536)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._close(conn)
-            return
-        if not data:
-            self._close(conn)
-            return
-        self.registry.inc("serve.bytes_in", len(data))
-        conn.framer.feed(data)
-        frames, error = conn.framer.drain()
-        for raw in frames:
-            self._enqueue(conn, raw)
-        if error is not None:
-            # Desync: one ERROR, then cut the connection off.
-            self.registry.inc("serve.bad_frames")
-            conn.out += protocol.ERROR.encode("latin-1")
-            conn.close_after_flush = True
-            self._flush(conn)
-
-    def _enqueue(self, conn: _Connection, raw: str) -> None:
-        conn.requests += 1
+    def _on_frame(self, conn: Connection, raw: str) -> None:
         full = len(self.pending) >= self.config.queue_depth
         if full or self._stop:
-            # Admission control: answer immediately, never queue.
+            # Admission control: answer in turn, never queue.
             self.registry.inc("serve.shed")
-            conn.out += protocol.SERVER_BUSY.encode("latin-1")
             if self.tracer is not None:
                 self.tracer.serve_mark(
                     "shed", conn.track,
                     {"reason": "queue_full" if full else "draining"})
-            self._flush(conn)
+            self.answer(conn, protocol.SERVER_BUSY)
             return
+        slot = _Pending(conn, raw)
         try:
-            request: Optional[protocol.Request] = \
-                protocol.parse_request(raw)
+            slot.request = protocol.parse_request(raw)
         except protocol.ProtocolError:
-            request = None
-        ts = self.tracer.now_us() if self.tracer is not None else 0.0
+            slot.request = None
+        slot.ts = self.tracer.now_us() if self.tracer is not None \
+            else 0.0
+        conn.slots.append(slot)
         if not self.pending:
             self._oldest_pending_ts = time.monotonic()
-        self.pending.append((conn, raw, request, ts))
+        self.pending.append(slot)
         self._accepted += 1
         self.registry.inc("serve.requests")
         if self.tracer is not None:
@@ -353,22 +238,17 @@ class PrivagicServer:
                 "execute", "serve", t0, t1 - t0,
                 {"batch": len(batch),
                  "steps": self.engine.steps - steps_before})
-        touched = []
-        for (conn, _raw, _request, t_enq), response in \
-                zip(batch, responses):
-            if conn.closed:
+        for slot, response in zip(batch, responses):
+            slot.response = response
+            conn = slot.conn
+            if conn.sock is None:
                 continue
-            conn.out += response.encode("latin-1")
-            self.registry.inc("serve.replies")
             if tracer is not None:
-                tracer.serve_span("queued", conn.track, t_enq,
-                                  t0 - t_enq)
+                tracer.serve_span("queued", conn.track, slot.ts,
+                                  t0 - slot.ts)
                 tracer.serve_mark("reply", conn.track,
                                   {"bytes": len(response)})
-            touched.append(conn)
-        for conn in touched:
-            if not conn.closed:
-                self._flush(conn)
+            self.pump(conn)
 
     def _execute(self, batch: List[_Pending]) -> List[str]:
         """Serve one batch: untrusted cache first (it owns the
@@ -377,9 +257,10 @@ class PrivagicServer:
         responses: List[str] = []
         engine_ops: List[tuple] = []
         op_counts: List[int] = []
-        for conn, raw, request, _ts in batch:
+        for slot in batch:
+            request = slot.request
             self._evicted.clear()
-            response = self.cache.handle(raw)
+            response = self.cache.handle(slot.frame)
             responses.append(response)
             if request is None:
                 op_counts.append(0)
@@ -398,10 +279,9 @@ class PrivagicServer:
             op_counts.append(len(engine_ops) - before)
         replies = self.engine.execute(engine_ops)
         index = 0
-        for (conn, raw, request, _ts), response, count in \
-                zip(batch, responses, op_counts):
+        for slot, response, count in zip(batch, responses, op_counts):
             if count:
-                self._verify(request, response,
+                self._verify(slot.request, response,
                              replies[index:index + count])
                 index += count
         return responses
@@ -439,141 +319,12 @@ class PrivagicServer:
                     f"store found={store_found}, enclave "
                     f"found={first == 1}")
 
-    # -- writes / teardown -------------------------------------------------------
 
-    def _flush(self, conn: _Connection) -> None:
-        """Write as much of the reply buffer as the socket takes;
-        keep WRITE interest while any remains."""
-        while conn.out:
-            try:
-                sent = conn.sock.send(conn.out)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self._close(conn)
-                return
-            if sent <= 0:
-                break
-            self.registry.inc("serve.bytes_out", sent)
-            del conn.out[:sent]
-        if conn.out:
-            events = selectors.EVENT_READ | selectors.EVENT_WRITE
-        else:
-            events = selectors.EVENT_READ
-            if conn.close_after_flush:
-                self._close(conn)
-                return
-        try:
-            self.selector.modify(conn.sock, events, conn)
-        except (KeyError, ValueError, OSError):
-            pass
-
-    def _close(self, conn: _Connection) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
-        try:
-            self.selector.unregister(conn.sock)
-        except (KeyError, ValueError, OSError):
-            pass
-        self.connections.pop(conn.sock.fileno(), None)
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-        self.registry.gauge("serve.open_connections").dec()
-        if self.tracer is not None:
-            self.tracer.serve_mark("close", conn.track,
-                                   {"requests": conn.requests})
-
-    def _close_listener(self) -> None:
-        if self.listener is None:
-            return
-        try:
-            if self.selector is not None:
-                self.selector.unregister(self.listener)
-        except (KeyError, ValueError, OSError):
-            pass
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-        self.listener = None
-
-    def _drain(self) -> None:
-        """Graceful shutdown: serve the remaining queue, flush every
-        reply buffer, then close."""
-        self._close_listener()
-        while self.pending:
-            self._drive_round()
-        deadline = time.monotonic() + self.config.drain_timeout
-        while time.monotonic() < deadline:
-            unflushed = [conn for conn in
-                         list(self.connections.values())
-                         if conn.out and not conn.closed]
-            if not unflushed:
-                break
-            for conn in unflushed:
-                self._flush(conn)
-            time.sleep(0.005)
-        self.drained = not self.pending and not any(
-            conn.out for conn in self.connections.values())
-        for conn in list(self.connections.values()):
-            self._close(conn)
-
-    def _abort(self) -> None:
-        """Fault path: no drain, close everything now."""
-        self._close_listener()
-        self.pending.clear()
-        for conn in list(self.connections.values()):
-            self._close(conn)
-
-
-class ServerThread:
-    """Run a :class:`PrivagicServer` on a daemon thread — the shape
-    tests, the benchmark and the check.sh smoke share.
-
-    A fault raised by the serving loop is captured in :attr:`error`
-    (the typed :class:`RuntimeFault` a chaos run ends with).
-    """
+class ServerThread(LoopThread):
+    """Run a :class:`PrivagicServer` on a daemon thread (see
+    :class:`~repro.serve.shell.LoopThread`)."""
 
     def __init__(self, config: Optional[ServeConfig] = None,
                  **kwargs):
         self.server = PrivagicServer(config, **kwargs)
-        self.error: Optional[BaseException] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def start(self) -> int:
-        """Bind, start serving in the background; returns the port."""
-        port = self.server.bind()
-
-        def run():
-            try:
-                self.server.serve_forever()
-            except BaseException as error:   # captured for the owner
-                self.error = error
-
-        self._thread = threading.Thread(target=run, daemon=True,
-                                        name="repro-serve")
-        self._thread.start()
-        return port
-
-    def stop(self, timeout: float = 10.0) -> None:
-        """Drain and join; raises if the loop did not finish."""
-        self.server.request_stop()
-        self.join(timeout)
-
-    def join(self, timeout: float = 10.0) -> None:
-        if self._thread is None:
-            return
-        self._thread.join(timeout)
-        if self._thread.is_alive():
-            raise RuntimeError("serve loop did not stop in time")
-
-    def __enter__(self) -> "ServerThread":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._thread is not None and self._thread.is_alive():
-            self.stop()
+        super().__init__(self.server, "repro-serve")

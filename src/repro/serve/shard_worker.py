@@ -1,8 +1,11 @@
 """One shard of the sharded serving layer, as its own process.
 
-``python -m repro.serve.shard_worker --shard-id K`` hosts a complete
-single-shard stack — untrusted :class:`MiniCache` store, compiled
-partitioned KV program, one
+The router (:mod:`repro.serve.router`) is the only thing that starts
+these: :func:`worker_command` builds the argv, whose one argument is
+the worker's whole configuration as JSON — a serialized
+:class:`~repro.serve.server.ServeConfig` plus the chaos hooks below.
+The worker hosts a complete single-shard stack — untrusted
+:class:`MiniCache` store, compiled partitioned KV program, one
 :class:`~repro.runtime.executor.PrivagicRuntime` enclave runtime, the
 :class:`~repro.serve.server.PrivagicServer` batching loop — behind an
 ephemeral loopback port, and announces readiness on stdout with a
@@ -10,38 +13,38 @@ single machine-readable line::
 
     SHARD_READY shard=2 port=43117 pid=71002
 
-The router (:mod:`repro.serve.router`) spawns N of these, parses the
-ready line, connects, and pipelines routed requests over the
-connection using the ordinary request/response framing — a shard
-worker neither knows nor cares that its one client is a router
-rather than a memcached user.  Process isolation is the point: each
-shard owns a private interpreter (its own GIL, its own simulated
-enclave memory), so shards execute truly concurrently on multicore
-hosts, and a shard crash is a *process* death the router can detect
-and repair rather than shared-state corruption.
+The router parses the ready line, connects, and pipelines routed
+requests over the connection using the ordinary request/response
+framing — a shard worker neither knows nor cares that its one client
+is a router rather than a memcached user.  Process isolation is the
+point: each shard owns a private interpreter (its own GIL, its own
+simulated enclave memory), so shards execute truly concurrently on
+multicore hosts, and a shard crash is a *process* death the router
+can detect and repair rather than shared-state corruption.
 
-Chaos hooks: ``--crash-after N`` simulates an asynchronous enclave
-exit (AEX) by hard-exiting the process (with the
+Chaos hooks: ``crash_after`` simulates an asynchronous enclave exit
+(AEX) by hard-exiting the process (with the
 :class:`~repro.errors.EnclaveCrash` CLI code) before the drive that
-would push the shard past N served operations.  The exit is
+would push the shard past that many served operations.  The exit is
 deterministic in *operation count*, so seeded differential runs can
-kill the same shard at the same point every time.  ``--inject`` /
-``--chaos-seed`` arm the PR-4 fault injector inside the shard's own
+kill the same shard at the same point every time.  ``inject`` /
+``chaos_seed`` arm the :mod:`repro.faults` injector inside the shard's own
 runtime, exactly as ``repro serve`` does for the single-process
 server.
 """
 
 from __future__ import annotations
 
-import argparse
+import dataclasses
+import json
 import os
 import signal
 import sys
 import threading
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import EnclaveCrash, RuntimeFault, fault_exit_code
-from repro.ir.interp import ENGINES
+from repro.faults import FaultInjector, FaultPlan
 from repro.serve.engine import SecureKVEngine
 from repro.serve.server import PrivagicServer, ServeConfig
 
@@ -52,9 +55,9 @@ READY_PREFIX = "SHARD_READY"
 class CrashingKVEngine(SecureKVEngine):
     """A :class:`SecureKVEngine` that simulates an AEX: the process
     hard-exits before the drive that would cross ``crash_after``
-    served operations.  ``os._exit`` (no atexit, no flushing, no
-    drain) is deliberate — a real AEX gives the enclave no chance to
-    say goodbye either."""
+    served operations (0 never crashes).  ``os._exit`` (no atexit,
+    no flushing, no drain) is deliberate — a real AEX gives the
+    enclave no chance to say goodbye either."""
 
     def __init__(self, *args, crash_after: int = 0, **kwargs):
         super().__init__(*args, **kwargs)
@@ -67,139 +70,48 @@ class CrashingKVEngine(SecureKVEngine):
         return super().execute(ops)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.serve.shard_worker",
-        description="one shard-worker process of the sharded "
-                    "serving layer")
-    parser.add_argument("--shard-id", type=int, required=True,
-                        help="this shard's index (metrics, the "
-                             "ready line)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
-                        help="listening port (default: ephemeral)")
-    parser.add_argument("--batch", type=int, default=16)
-    parser.add_argument("--batch-window", type=float, default=None,
-                        metavar="SECONDS",
-                        help="adaptive batch-window cap (default: "
-                             "the server default)")
-    parser.add_argument("--queue-depth", type=int, default=256)
-    parser.add_argument("--capacity-bytes", type=int,
-                        default=64 * 1024 * 1024)
-    parser.add_argument("--engine", choices=list(ENGINES),
-                        default=None)
-    parser.add_argument("--max-steps", type=int, default=50_000_000)
-    parser.add_argument("--watchdog-steps", type=int, default=None)
-    parser.add_argument("--crash-after", type=int, default=0,
-                        metavar="N",
-                        help="simulate an AEX (hard process exit) "
-                             "before serving more than N operations")
-    parser.add_argument("--inject", metavar="SPEC", default=None,
-                        help="fault-injection schedule for this "
-                             "shard's runtime")
-    parser.add_argument("--chaos-seed", type=int, default=None)
-    parser.add_argument("--orphan-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="exit after having had a client and "
-                             "then sitting connection-free this long "
-                             "(a dead router cannot strand workers)")
-    return parser
+def worker_command(shard_id: int, config: ServeConfig,
+                   crash_after: int = 0, inject: Optional[str] = None,
+                   chaos_seed: Optional[int] = None) -> List[str]:
+    """The argv that spawns one worker: its whole configuration is
+    one JSON argument (the serialized :class:`ServeConfig` plus the
+    chaos hooks), which :func:`main` loads back."""
+    spec = {"shard_id": shard_id, "config": dataclasses.asdict(config),
+            "crash_after": crash_after, "inject": inject,
+            "chaos_seed": chaos_seed}
+    # A -c entry rather than -m: runpy would import repro.serve (which
+    # itself imports this module for the package exports) and then
+    # execute the module a second time, warning about the shadow copy.
+    return [sys.executable, "-c",
+            "from repro.serve.shard_worker import main; "
+            "raise SystemExit(main())", json.dumps(spec)]
 
 
-def build_server(options) -> PrivagicServer:
-    config = ServeConfig(
-        host=options.host, port=options.port, batch=options.batch,
-        queue_depth=options.queue_depth,
-        capacity_bytes=options.capacity_bytes,
-        engine=options.engine, max_steps=options.max_steps,
-        watchdog_steps=options.watchdog_steps,
-        orphan_timeout=options.orphan_timeout)
-    if options.batch_window is not None:
-        config.batch_window = options.batch_window
-    engine_kwargs = dict(engine=options.engine,
-                         max_steps=options.max_steps,
-                         watchdog_steps=options.watchdog_steps)
-    if options.crash_after:
-        engine = CrashingKVEngine(crash_after=options.crash_after,
-                                  **engine_kwargs)
-    else:
-        engine = SecureKVEngine(**engine_kwargs)
-    return PrivagicServer(config, engine=engine)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    options = build_parser().parse_args(argv)
-    server = build_server(options)
-    if options.inject is not None or options.chaos_seed is not None:
-        from repro.faults import FaultInjector, FaultPlan
-
-        if options.inject is not None:
-            plan = FaultPlan.parse(options.inject,
-                                   seed=options.chaos_seed or 0)
-        else:
-            program = server.engine.program
-            colors = sorted(set(program.chunk_colors.values())
-                            - {program.untrusted})
-            plan = FaultPlan.random(options.chaos_seed, colors,
-                                    untrusted=program.untrusted)
-        FaultInjector(plan).attach(server.engine.runtime)
+def main() -> int:
+    spec = json.loads(sys.argv[1])
+    shard_id = spec["shard_id"]
+    config = ServeConfig(**spec["config"])
+    engine = CrashingKVEngine(crash_after=spec["crash_after"],
+                              engine=config.engine,
+                              max_steps=config.max_steps,
+                              watchdog_steps=config.watchdog_steps)
+    server = PrivagicServer(config, engine=engine)
+    plan = FaultPlan.requested(spec["inject"], spec["chaos_seed"],
+                               engine.program)
+    if plan is not None:
+        FaultInjector(plan).attach(engine.runtime)
     port = server.bind()
     if threading.current_thread() is threading.main_thread():
         # The router stops a shard with SIGTERM: drain, then exit 0.
         signal.signal(signal.SIGTERM,
                       lambda *_args: server.request_stop())
-    print(f"{READY_PREFIX} shard={options.shard_id} port={port} "
+    print(f"{READY_PREFIX} shard={shard_id} port={port} "
           f"pid={os.getpid()}", flush=True)
     try:
         server.serve_forever()
     except RuntimeFault as fault:
-        print(f"shard {options.shard_id}: "
+        print(f"shard {shard_id}: "
               f"fault[{type(fault).__name__}]: {fault}",
               file=sys.stderr)
         return fault_exit_code(fault)
     return 0
-
-
-def worker_command(shard_id: int, *, batch: int, queue_depth: int,
-                   capacity_bytes: int,
-                   engine: Optional[str] = None,
-                   max_steps: int = 50_000_000,
-                   watchdog_steps: Optional[int] = None,
-                   batch_window: Optional[float] = None,
-                   crash_after: int = 0,
-                   inject: Optional[str] = None,
-                   chaos_seed: Optional[int] = None,
-                   orphan_timeout: Optional[float] = None
-                   ) -> List[str]:
-    """The argv that spawns one worker (the router's single source
-    of truth for the worker interface)."""
-    # A -c entry rather than -m: runpy would import repro.serve (which
-    # itself imports this module for the package exports) and then
-    # execute the module a second time, warning about the shadow copy.
-    argv = [sys.executable, "-c",
-            "from repro.serve.shard_worker import main; "
-            "raise SystemExit(main())",
-            "--shard-id", str(shard_id), "--port", "0",
-            "--batch", str(batch),
-            "--queue-depth", str(queue_depth),
-            "--capacity-bytes", str(capacity_bytes),
-            "--max-steps", str(max_steps)]
-    if engine is not None:
-        argv += ["--engine", engine]
-    if watchdog_steps is not None:
-        argv += ["--watchdog-steps", str(watchdog_steps)]
-    if batch_window is not None:
-        argv += ["--batch-window", repr(batch_window)]
-    if crash_after:
-        argv += ["--crash-after", str(crash_after)]
-    if inject is not None:
-        argv += ["--inject", inject]
-    if chaos_seed is not None:
-        argv += ["--chaos-seed", str(chaos_seed)]
-    if orphan_timeout is not None:
-        argv += ["--orphan-timeout", repr(orphan_timeout)]
-    return argv
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

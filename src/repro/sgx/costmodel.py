@@ -21,7 +21,7 @@ cycles and converts to time/throughput.  The deployment models of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 KIB = 1024

@@ -10,7 +10,7 @@ quantity behind the Table 4 TCB metric.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.errors import PrivagicError
 from repro.ir.interp import Machine, enclave_region

@@ -11,7 +11,7 @@ by tests and the metering ablation to cross-check the two levels.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.ir.interp import ExecutionContext, Machine, UNSAFE_REGION
 from repro.sgx.costmodel import CostMeter, CostParams, MACHINE_A

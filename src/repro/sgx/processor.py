@@ -13,7 +13,7 @@ the memory of the enclaves.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SGXAccessViolation
 from repro.ir.interp import (

@@ -8,7 +8,6 @@ space (YCSB's default for workload traffic).
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional
 

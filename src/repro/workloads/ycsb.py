@@ -8,8 +8,8 @@ pre-loaded keys against the data structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, NamedTuple
 
 from repro.workloads.distributions import (
     LatestGenerator,

@@ -33,6 +33,11 @@ INT64_MAX = (1 << 63) - 1
 INT_VALUES = [0, 1, -1, 7, -7, 3, 64, 65, 127, INT64_MIN, INT64_MAX,
               1 << 63]
 FLOAT_VALUES = [0.0, -0.0, 1.0, -1.5, 2.5, 7, 1e300]
+#: fptosi sources: the float edges plus NaN, the infinities and the
+#: int64 boundary, where 2^63 is the first value out of range.
+FPTOSI_VALUES = FLOAT_VALUES + [float("nan"), float("inf"),
+                                float("-inf"), 2.0 ** 63, -2.0 ** 63,
+                                9.2e18]
 
 INT_TYPES = {"i8": I8, "i32": I32, "i64": I64}
 
@@ -171,7 +176,7 @@ CASTS = {
     "trunc": [(I64, I8, INT_VALUES), (I64, I32, INT_VALUES)],
     "zext": [(I8, I64, INT_VALUES)],
     "sext": [(I32, I64, INT_VALUES)],
-    "fptosi": [(F64, I64, FLOAT_VALUES)],
+    "fptosi": [(F64, I64, FPTOSI_VALUES), (F64, I8, FPTOSI_VALUES)],
     "sitofp": [(I64, F64, INT_VALUES)],
     "bitcast": [(PointerType(I64), PointerType(I8), [0, 4096])],
     "inttoptr": [(I64, PointerType(I8), INT_VALUES)],
@@ -209,8 +214,32 @@ def test_cast(kind):
         for i, v in enumerate(values):
             returned = module.functions[f"c{i}"].blocks[0] \
                 .instructions[-1].value
+            result = outcomes["legacy"][i][0]
             if isinstance(returned, Constant):
-                assert repr(returned.value) == outcomes["legacy"][i][0]
+                assert repr(returned.value) == result
             else:
-                # Pass-through casts keep their provenance unfolded.
-                assert CAST_SEMANTICS[kind] is None
+                # Pass-through casts keep their provenance unfolded,
+                # and a faulting cast is left for the runtime.
+                assert CAST_SEMANTICS[kind] is None or \
+                    result.startswith("fault: "), (kind, v, result)
+
+
+def test_fptosi_faults_outside_the_destination_range():
+    """NaN, the infinities and 2^63 have no i64 value: both engines
+    raise the same typed fault instead of a Python error or an
+    oversized register value; in-range values truncate toward
+    zero."""
+    values = FPTOSI_VALUES
+    module = Module("fptosi")
+    _add(module, "r", I64, [F64],
+         lambda b, args: b.cast("fptosi", args[0], I64))
+    for engine in ENGINES:
+        machine = Machine(module, engine=engine)
+        outcomes = {repr(v): _outcome(machine, "r", [v])[0]
+                    for v in values}
+        for text in ("nan", "inf", "-inf", repr(2.0 ** 63)):
+            assert outcomes[text] == \
+                f"fault: fptosi of {text} does not fit in i64", engine
+        assert outcomes[repr(-2.0 ** 63)] == repr(INT64_MIN)
+        assert outcomes["-1.5"] == "-1"
+        assert outcomes["9.2e+18"] == repr(int(9.2e18))

@@ -62,7 +62,7 @@ def test_link_reset_reconnects_with_exact_state():
     # failure: the router reconnects, replays the acked log, and the
     # client never sees an error.
     fakes = [FakeShard(), FakeShard()]
-    with make_router(fakes=fakes, external_reconnect=True,
+    with make_router(fakes=fakes,
                      connect_timeout=2.0, connect_retries=2,
                      backoff_base=0.01, backoff_cap=0.05) as rt:
         client = LoadClient("127.0.0.1", rt.router.port)
@@ -96,7 +96,7 @@ def test_unanswered_probes_open_the_circuit_breaker():
         return fake.honest(request)
 
     fake = FakeShard(respond=deaf_to_probes)
-    with make_router(fakes=[fake], external_reconnect=True,
+    with make_router(fakes=[fake],
                      probe_interval=0.15, probe_timeout=0.4,
                      max_restarts=2, replay_timeout=2.0,
                      connect_timeout=2.0, connect_retries=1,
@@ -119,7 +119,7 @@ def test_forward_timeout_detects_a_wedged_busy_shard():
     # A shard that accepts requests and never answers: the oldest
     # in-flight request's age is the death signal.
     fake = FakeShard(respond=lambda request: None)
-    with make_router(fakes=[fake], external_reconnect=True,
+    with make_router(fakes=[fake],
                      forward_timeout=0.3, max_restarts=1,
                      connect_timeout=2.0, connect_retries=1,
                      backoff_base=0.01, backoff_cap=0.02) as rt:

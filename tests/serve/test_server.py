@@ -135,6 +135,32 @@ def test_graceful_drain_serves_queued_requests(program):
     assert st.server.drained
 
 
+def test_drain_answers_admitted_requests_past_drain_timeout(program):
+    # Driving the queue takes longer than drain_timeout; every admitted
+    # request is still answered (the deadline bounds the flush only).
+    st = make_server(program, batch=1, drain_timeout=0.2)
+    st.start()
+    handle = st.server.cache.handle
+
+    def slow_handle(frame):
+        time.sleep(0.03)
+        return handle(frame)
+
+    st.server.cache.handle = slow_handle
+    client = LoadClient("127.0.0.1", st.server.port)
+    keys = [f"k{i}" for i in range(16)]
+    client.sock.sendall("".join(protocol.encode_set(key, value_of(key))
+                                for key in keys).encode("latin-1"))
+    time.sleep(0.05)
+    st.stop()
+    client.sock.settimeout(5.0)
+    replies = [client._read_response() for _ in keys]
+    client.close()
+    assert replies == [protocol.STORED] * len(keys)
+    assert st.error is None
+    assert st.server.drained
+
+
 def test_eviction_keeps_enclave_index_consistent(program):
     # A tiny LRU forces evictions; the on_evict hook must retire the
     # victims from the enclave index too, or later gets would be
@@ -238,3 +264,106 @@ def test_serve_tracer_spans(program):
                      "reply", "close"):
         assert expected in names, expected
     validate_chrome_trace(tracer.chrome_trace())
+
+
+# -- per-connection reply order ---------------------------------------------------
+#
+# Every key gets its own value, so a reply delivered to the wrong
+# request is visible.  Each burst goes out in one write, so the loop
+# frames it in one read.
+
+
+def value_of(key):
+    return f"value-of-{key}".encode()
+
+
+def pipelined(client, frames):
+    """Send ``frames`` in one write; return the replies read until
+    every frame is answered or the server closes the connection,
+    and whether it closed."""
+    client.sock.settimeout(5.0)
+    client.sock.sendall("".join(frames).encode("latin-1"))
+    replies = []
+    try:
+        while len(replies) < len(frames):
+            replies.append(client._read_response())
+        client.sock.settimeout(0.5)
+        return replies, client.sock.recv(1) == b""
+    except socket.timeout:
+        return replies, False
+    except (LoadError, OSError):
+        return replies, True
+
+
+def assert_answers_in_order(keys, replies, served):
+    """The first ``served`` gets are answered with their own values;
+    every later reply is either its own value or ``SERVER_BUSY``, and
+    at least one was shed."""
+    assert len(replies) == len(keys), replies
+    for index, (key, reply) in enumerate(zip(keys, replies)):
+        if reply == protocol.SERVER_BUSY:
+            assert index >= served, (index, replies)
+        else:
+            assert protocol.parse_value_response(reply) == \
+                value_of(key), (index, replies)
+    assert protocol.SERVER_BUSY in replies, replies
+
+
+CUTOFF_BURST = [protocol.encode_set("k0", value_of("k0")),
+                protocol.encode_get("k0"),
+                protocol.encode_set("k1", value_of("k1")),
+                protocol.encode_get("k1"),
+                protocol.encode_set("k2", value_of("k2")),
+                protocol.encode_get("k2")]
+
+#: What CUTOFF_BURST reads back when the third request is the last
+#: one accepted: everything after it is shed, in its turn.
+CUTOFF_REPLIES = [protocol.STORED, protocol.encode_value("k0",
+                                                         value_of("k0")),
+                  protocol.STORED] + [protocol.SERVER_BUSY] * 3
+
+DESYNC_BURST = [protocol.encode_get("k0"), protocol.encode_get("k1"),
+                "set k 0 0 zz\r\n", protocol.encode_get("k0")]
+
+DESYNC_REPLIES = [protocol.encode_value("k0", value_of("k0")),
+                  protocol.encode_value("k1", value_of("k1")),
+                  protocol.ERROR]
+
+
+def test_shed_replies_wait_their_turn(program):
+    keys = [f"k{i}" for i in range(8)]
+    with make_server(program, batch=1, queue_depth=2) as st:
+        client = LoadClient("127.0.0.1", st.server.port)
+        for key in keys:
+            assert client.set(key, value_of(key)) == protocol.STORED
+        replies, closed = pipelined(
+            client, [protocol.encode_get(key) for key in keys])
+        assert not closed
+        assert_answers_in_order(keys, replies, served=2)
+        client.close()
+    assert st.error is None
+
+
+def test_max_requests_cutoff_mid_burst_keeps_order(program):
+    st = make_server(program, batch=2, max_requests=3)
+    st.start()
+    client = LoadClient("127.0.0.1", st.server.port)
+    replies, closed = pipelined(client, CUTOFF_BURST)
+    client.close()
+    st.join()
+    assert replies == CUTOFF_REPLIES
+    assert closed
+    assert st.error is None
+    assert st.server.drained
+
+
+def test_bad_frame_answers_earlier_requests_first(program):
+    with make_server(program, batch=4) as st:
+        client = LoadClient("127.0.0.1", st.server.port)
+        for key in ("k0", "k1"):
+            assert client.set(key, value_of(key)) == protocol.STORED
+        replies, closed = pipelined(client, DESYNC_BURST)
+        assert replies == DESYNC_REPLIES
+        assert closed
+        client.close()
+    assert st.error is None

@@ -15,6 +15,16 @@ from repro.serve.framing import RequestFramer
 from repro.serve.loadgen import LoadClient, LoadError, run_load
 from repro.serve.router import RouterConfig, RouterThread
 
+from tests.serve.test_server import (
+    CUTOFF_BURST,
+    CUTOFF_REPLIES,
+    DESYNC_BURST,
+    DESYNC_REPLIES,
+    assert_answers_in_order,
+    pipelined,
+    value_of,
+)
+
 pytestmark = pytest.mark.net
 
 
@@ -210,6 +220,53 @@ def test_two_connections_interleave_independently():
         rt.stop()
     for fake in fakes:
         fake.close()
+    assert rt.error is None
+
+
+def test_shed_replies_wait_their_turn():
+    keys = [f"k{i}" for i in range(8)]
+    fake = FakeShard()
+    with make_router(fakes=[fake], queue_depth=2) as rt:
+        client = LoadClient("127.0.0.1", rt.router.port)
+        for key in keys:
+            assert client.set(key, value_of(key)) == protocol.STORED
+        replies, closed = pipelined(
+            client, [protocol.encode_get(key) for key in keys])
+        assert not closed
+        assert_answers_in_order(keys, replies, served=2)
+        client.close()
+        rt.stop()
+    fake.close()
+    assert rt.error is None
+
+
+def test_max_requests_cutoff_mid_burst_keeps_order():
+    fake = FakeShard()
+    rt = make_router(fakes=[fake], max_requests=3)
+    rt.start()
+    client = LoadClient("127.0.0.1", rt.router.port)
+    replies, closed = pipelined(client, CUTOFF_BURST)
+    client.close()
+    rt.join()
+    fake.close()
+    assert replies == CUTOFF_REPLIES
+    assert closed
+    assert rt.error is None
+    assert rt.router.drained
+
+
+def test_bad_frame_answers_earlier_requests_first():
+    fake = FakeShard()
+    with make_router(fakes=[fake]) as rt:
+        client = LoadClient("127.0.0.1", rt.router.port)
+        for key in ("k0", "k1"):
+            assert client.set(key, value_of(key)) == protocol.STORED
+        replies, closed = pipelined(client, DESYNC_BURST)
+        assert replies == DESYNC_REPLIES
+        assert closed
+        client.close()
+        rt.stop()
+    fake.close()
     assert rt.error is None
 
 

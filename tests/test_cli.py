@@ -70,6 +70,18 @@ def test_run_executes_entry(clean_file, capsys):
     assert "messages:" in out
 
 
+@pytest.mark.parametrize("engine", ["decoded", "legacy"])
+def test_fptosi_overflow_is_a_typed_fault(tmp_path, capsys, engine):
+    # inf has no long value: a typed RuntimeFault (exit 3) at run
+    # time, not a traceback from constant folding.
+    path = tmp_path / "overflow.c"
+    path.write_text("long main() { return (long)(1e300 * 1e300); }\n")
+    assert main(["run", str(path), "--mode", "relaxed",
+                 "--engine", engine]) == 3
+    assert "fault[RuntimeFault] exit=3: fptosi of inf" in \
+        capsys.readouterr().err
+
+
 def test_compile_error_is_reported(broken_file, capsys):
     assert main(["compile", broken_file]) == 1
     assert "error:" in capsys.readouterr().err
