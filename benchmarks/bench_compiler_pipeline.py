@@ -7,7 +7,6 @@ from repro.apps.minicache.minic_source import FULL_ANNOTATED
 from repro.core.analysis import analyze_module
 from repro.core.colors import HARDENED
 from repro.core.compiler import compile_and_partition
-from repro.core.partition import partition
 from repro.core.structs import rewrite_multicolor_structs
 from repro.frontend import compile_source
 from repro.ir.passes import mem2reg

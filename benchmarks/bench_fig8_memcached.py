@@ -14,7 +14,7 @@ Expected shapes (paper):
 
 from repro.apps.deployments import CacheExperiment
 from repro.bench import Report
-from repro.sgx.costmodel import GIB, MIB
+from repro.sgx.costmodel import MIB
 from repro.workloads import WORKLOAD_A
 
 DEPLOYMENTS = ("Unprotected", "Scone", "Privagic")

@@ -130,8 +130,9 @@ def _partitioned_thunk(program, engine):
     return thunk
 
 
-def run_dispatch_comparison(repeat: int = 3):
-    """Measure every workload under both engines; returns the
+def run_dispatch_comparison(repeat: int = 7):
+    """Measure every workload under both engines, alternating their
+    runs and keeping the best of ``repeat`` each; returns the
     machine-readable results dict."""
     litmus_module = compile_source(LITMUS_SOURCE)
     fig7_program = compile_and_partition(FIG7_SOURCE, mode=RELAXED)
@@ -160,8 +161,9 @@ def run_dispatch_comparison(repeat: int = 3):
         "workloads": {},
     }
     for name, make in workloads.items():
-        timings = {engine: measure(make(engine), repeat=repeat)
-                   for engine in ("legacy", "decoded")}
+        timings = measure({engine: make(engine)
+                           for engine in ("legacy", "decoded")},
+                          repeat=repeat)
         if timings["legacy"].steps != timings["decoded"].steps:
             raise RuntimeError(
                 f"{name}: engines disagree on step count "

@@ -11,8 +11,6 @@ correct.  Secure typing (Privagic) is evaluated by whether it accepts
 time.
 """
 
-import pytest
-
 from repro.baselines import (
     AbstractInterpTaint,
     AndersenTaint,

@@ -16,10 +16,7 @@ from repro.apps.minicache.minic_source import (
     FULL_PRISTINE,
     modified_lines,
 )
-from repro.baselines.scone import (
-    SCONE_TCB_KIB,
-    SCONE_USER_CODE_LLVM_LINES,
-)
+from repro.baselines.scone import SCONE_TCB_KIB
 from repro.bench import Report
 from repro.core.compiler import compile_and_partition
 from repro.frontend import compile_source

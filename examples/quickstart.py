@@ -12,7 +12,6 @@ Run:  python examples/quickstart.py
 from repro.core.colors import RELAXED
 from repro.core.compiler import PrivagicCompiler
 from repro.ir.printer import print_module
-from repro.runtime import run_partitioned
 from repro.sgx import SGXAccessPolicy, Attacker
 
 SOURCE = """

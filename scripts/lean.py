@@ -1,4 +1,4 @@
-"""Lean gate: fail on any unused import under ``src/repro``.
+"""Lean gate: fail on any unused import in the repo's Python code.
 
     python scripts/lean.py
 
@@ -15,7 +15,9 @@ import ast
 import os
 from typing import Iterator, List, Set, Tuple
 
-ROOT = "src/repro"
+#: The directories scanned.  ``perfbench/`` is left out: it belongs
+#: to the benchmark harness, which changes only with the benchmark.
+ROOTS = ("src/repro", "tests", "benchmarks", "scripts", "examples")
 
 
 def _imported(tree: ast.Module) -> Iterator[Tuple[str, int]]:
@@ -68,10 +70,11 @@ def unused_imports(path: str) -> List[Tuple[int, str]]:
 
 
 def _sources() -> Iterator[str]:
-    for directory, _dirs, files in sorted(os.walk(ROOT)):
-        for name in sorted(files):
-            if name.endswith(".py"):
-                yield os.path.join(directory, name)
+    for root in ROOTS:
+        for directory, _dirs, files in sorted(os.walk(root)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    yield os.path.join(directory, name)
 
 
 def main() -> int:

@@ -2,11 +2,12 @@
 
 The dispatch benchmarks compare execution engines, so the quantity of
 interest is *interpreted steps per second* — wall-clock alone would
-conflate engine speed with workload size.  :func:`measure` runs a
-thunk that returns a step count, takes the best of ``repeat`` runs
-(interpreter benchmarks are minimum-latency measurements: anything
-above the minimum is scheduler/GC noise, not engine cost) and returns
-a :class:`Timing` with both raw and derived numbers.
+conflate engine speed with workload size.  :func:`measure` runs
+thunks that return a step count, taking turns, keeps the best of
+``repeat`` runs of each (interpreter benchmarks are minimum-latency
+measurements: anything above the minimum is scheduler/GC noise, not
+engine cost) and returns a :class:`Timing` per thunk with both raw
+and derived numbers.
 """
 
 from __future__ import annotations
@@ -42,28 +43,35 @@ class Timing:
                 f"= {self.steps_per_sec:,.0f}/s>")
 
 
-def measure(thunk: Callable[[], int], repeat: int = 3) -> Timing:
-    """Best-of-``repeat`` timing of ``thunk``, which must return the
-    number of interpreter steps it executed.
+def measure(thunks: Dict[str, Callable[[], int]],
+            repeat: int = 3) -> Dict[str, Timing]:
+    """Best-of-``repeat`` timing of each named thunk, which must
+    return the number of interpreter steps it executed.
 
-    Every run must report the same step count — a differing count
-    means the workload is not deterministic and the comparison would
-    be meaningless, so it raises instead of averaging it away.
+    The thunks take turns, one run of each per round, so a burst of
+    host contention lands on all of them rather than on whichever one
+    happened to be timing then.  Every run of a thunk must report the
+    same step count — a differing count means the workload is not
+    deterministic and the comparison would be meaningless, so it
+    raises instead of averaging it away.
     """
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
-    best: Tuple[int, float] = None  # type: ignore[assignment]
+    best: Dict[str, Tuple[int, float]] = {}
     for _ in range(repeat):
-        t0 = time.perf_counter()
-        steps = thunk()
-        elapsed = time.perf_counter() - t0
-        if best is not None and steps != best[0]:
-            raise RuntimeError(
-                f"non-deterministic workload: {steps} steps vs "
-                f"{best[0]} on an earlier run")
-        if best is None or elapsed < best[1]:
-            best = (steps, elapsed)
-    return Timing(best[0], best[1], repeat)
+        for name, thunk in thunks.items():
+            t0 = time.perf_counter()
+            steps = thunk()
+            elapsed = time.perf_counter() - t0
+            earlier = best.get(name)
+            if earlier is not None and steps != earlier[0]:
+                raise RuntimeError(
+                    f"non-deterministic workload {name}: {steps} "
+                    f"steps vs {earlier[0]} on an earlier run")
+            if earlier is None or elapsed < earlier[1]:
+                best[name] = (steps, elapsed)
+    return {name: Timing(steps, seconds, repeat)
+            for name, (steps, seconds) in best.items()}
 
 
 def speedup(base: Timing, fast: Timing) -> float:

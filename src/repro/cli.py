@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch", type=int, default=16,
                        help="max requests per interpreter drive "
                             "(1 disables batching; default: 16)")
-    serve.add_argument("--batch-window", type=float, default=None,
+    serve.add_argument("--batch-window", type=float, default=0.002,
                        metavar="SECONDS",
                        help="adaptive batch-coalescing cap "
                             "(default: 0.002)")
@@ -429,6 +429,7 @@ def cmd_serve(options) -> int:
     """``repro serve``: the single-process server, or with
     ``--shards N`` the router over N shard workers — one path, two
     loops."""
+    import dataclasses
     import signal
     import threading
 
@@ -447,20 +448,20 @@ def cmd_serve(options) -> int:
     if options.trace or options.stats:
         from repro.obs import Observability
         obs = Observability(trace=options.trace is not None)
-    common = dict(
+    config = (RouterConfig if sharded else ServeConfig)(
         host=options.host, port=options.port, batch=options.batch,
+        batch_window=options.batch_window,
         queue_depth=options.queue_depth,
         capacity_bytes=options.capacity_bytes,
         engine=options.engine, max_steps=options.max_steps,
         watchdog_steps=options.watchdog_steps,
         max_requests=options.max_requests)
-    if options.batch_window is not None:
-        common["batch_window"] = options.batch_window
     observe = dict(registry=obs.registry if obs is not None else None,
                    tracer=obs.tracer if obs is not None else None)
     injector = None
     if sharded:
-        loop = ShardRouter(RouterConfig(
+        loop = ShardRouter(dataclasses.replace(
+            config,
             shards=options.shards,
             on_death=options.on_death,
             max_restarts=options.max_restarts,
@@ -476,11 +477,11 @@ def cmd_serve(options) -> int:
             crash_after=_parse_kill_shard(options.kill_shard,
                                           options.shards)
             if options.kill_shard is not None else {},
-            inject=options.inject, chaos_seed=options.chaos_seed,
-            **common), **observe)
+            inject=options.inject, chaos_seed=options.chaos_seed),
+            **observe)
         where = f"routing {{}} over {options.shards} shard(s)"
     else:
-        loop = PrivagicServer(ServeConfig(**common), **observe)
+        loop = PrivagicServer(config, **observe)
         if obs is not None:
             obs.attach(loop.engine.runtime)
         injector = _build_injector(options, loop.engine.program)

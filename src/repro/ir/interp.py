@@ -171,10 +171,6 @@ class Memory:
     def live_allocations(self) -> List[Allocation]:
         return [a for a in self._allocs if a.live]
 
-    def region_slots(self, region: str) -> int:
-        return sum(a.size for a in self._allocs
-                   if a.live and a.region == region)
-
 
 class Frame:
     """One activation record."""

@@ -8,7 +8,7 @@ the three detection mechanisms the router composes, each one small
 and separately testable:
 
 * :func:`connect_with_backoff` — every connect the router makes
-  (initial, replay, reconnect) goes through one bounded
+  (at start, after a death, on re-add) goes through one bounded
   exponential-backoff retry loop whose give-up is the typed
   :class:`~repro.errors.NetworkFault`, never a raw ``OSError``
   traceback and never an unbounded hang.

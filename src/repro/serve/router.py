@@ -7,9 +7,10 @@
   processes, each hosting a complete partitioned-KV stack — its own
   compiled program, enclave runtime, untrusted store and batching
   loop — behind a loopback port.  Each worker owns a private
-  interpreter and a private (smaller) enclave index, so shards run
-  in parallel on multicore hosts *and* every operation walks a chain
-  that is ~N times shorter than the single-process index would be.
+  interpreter and a private enclave index, so shards can run in
+  parallel on multicore hosts.  The index is sized so that chains
+  stay short at any key count, so sharding divides the work across
+  processes, not the cost of one operation.
 
 * **The router** (this module): accepts client connections with the
   ordinary request framing, consistent-hashes every key over the
@@ -54,14 +55,22 @@ flapping shard cannot burn restarts forever.
 dead *link* from a dead *process*: if the worker process is still
 there, or the shard is an external endpoint (which cannot be
 respawned, so one bounded reconnect is its only recovery), it
-reconnects and rebuilds the
-connection-level state by *exact replay* — the compacted log of
-acknowledged mutations (final ``set`` frame per live key, in
-first-insertion order) is replayed and every reply checked, then
-the in-flight requests are re-forwarded in their original order.
+reconnects and rebuilds the connection-level state by *exact
+replay*.  Replay is ordinary traffic on the shard's FIFO: the
+compacted log of acknowledged mutations (final ``set`` frame per
+live key, in first-insertion order) is queued as ``migrate`` slots,
+then the in-flight requests follow in their original order, and
+every reply is verified like any other.  The loop never waits on
+it, so the other shards keep serving while one replays, and
+anything routed to the replaying shard queues behind its replay.
 Replay-then-reforward is idempotent, so a worker that had already
 applied un-acked operations before the link died converges to the
-same state.  A dead process is handled per ``on_death``:
+same state.  The circuit breaker closes only when the last re-sent
+slot is answered, so a shard that dies during every replay ends in
+a :class:`~repro.errors.NetworkFault`; and a replay slot unanswered
+for ``replay_timeout`` seconds is a confirmed death of the health
+sweep, so a stalled replay never hangs the router.  A dead process
+is handled per ``on_death``:
 
 * ``restart`` (default) — spawn a fresh worker under the same ring
   name, replay, re-forward; clients observe only added latency.
@@ -88,7 +97,7 @@ import socket
 import subprocess
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.minicache import protocol
@@ -126,27 +135,23 @@ DEATH_POLICIES = ("restart", "rebalance", "degrade", "fault")
 
 
 @dataclass
-class RouterConfig:
-    """Tunables of one router instance (front + workers)."""
+class RouterConfig(ServeConfig):
+    """Tunables of one router instance.  The inherited
+    :class:`ServeConfig` fields configure the front (``host``,
+    ``port``, ``max_requests``, ``drain_timeout``; ``queue_depth``
+    is the per-shard in-flight admission cap) and every worker (see
+    :meth:`ShardRouter._spawn`); the fields below are the router's
+    own."""
 
-    host: str = "127.0.0.1"
-    port: int = 0                  # 0 = ephemeral
-    shards: int = 2                # worker processes
-    batch: int = 16                # per-worker drive batch
-    batch_window: Optional[float] = None   # worker coalescing cap
-    queue_depth: int = 128         # per-shard in-flight admission cap
-    capacity_bytes: int = 64 * 1024 * 1024  # per-worker cache
-    engine: Optional[str] = None
-    max_steps: int = 50_000_000
-    watchdog_steps: Optional[int] = None
-    max_requests: Optional[int] = None  # route N requests, then drain
     drain_timeout: float = 10.0
+    shards: int = 2                # worker processes
     spawn_timeout: float = 60.0    # worker ready-line deadline
     connect_timeout: float = 10.0  # per-attempt shard connect cap
     connect_retries: int = 3       # extra connect attempts
     backoff_base: float = 0.05     # first retry pause (doubles)
     backoff_cap: float = 1.0       # retry pause ceiling
-    replay_timeout: float = 30.0   # per-recv cap during replay
+    #: A replayed slot unanswered this long is a confirmed death.
+    replay_timeout: float = 30.0
     #: Probe an idle shard after this many reply-free seconds
     #: (None disables probing).
     probe_interval: Optional[float] = None
@@ -166,10 +171,6 @@ class RouterConfig:
     #: to the router's shard links and accepted client streams.
     net_inject: Optional[str] = None
     net_chaos_seed: Optional[int] = None
-    #: Worker-side backstop: a spawned worker exits on its own after
-    #: this many connection-free seconds (None disables), so a dead
-    #: router cannot leave zombie shard processes behind.
-    orphan_timeout: Optional[float] = None
     #: Pre-started shard endpoints (tests, in-process chaos sweeps):
     #: connect instead of spawning.  External shards cannot be
     #: respawned: a dead one gets one bounded reconnect, and if that
@@ -205,8 +206,8 @@ class _Shard(Stream):
     and the acknowledged-mutation replay log."""
 
     __slots__ = ("index", "name", "proc", "port", "host", "rframer",
-                 "inflight", "acked_log", "restarts", "forwarded",
-                 "breaker")
+                 "inflight", "sent", "replaying", "acked_log",
+                 "restarts", "forwarded", "breaker")
 
     def __init__(self, index: int, breaker_budget: int, on_read,
                  on_write):
@@ -217,7 +218,13 @@ class _Shard(Stream):
         self.port: Optional[int] = None
         self.host = "127.0.0.1"
         self.rframer = ResponseFramer()
+        #: The reply FIFO: every slot queued to this shard, oldest
+        #: first; the first ``sent`` of them are on the wire.
         self.inflight: Deque[_Slot] = deque()
+        self.sent = 0
+        #: How many of the slots the latest bring-up re-sent (the
+        #: head of ``inflight``) are still unanswered.
+        self.replaying = 0
         #: key -> the latest *acknowledged* set frame; replaying
         #: these (in order) reproduces the shard's acked state
         #: exactly.
@@ -296,45 +303,53 @@ class ShardRouter(ConnectionShell):
             for shard, (host, port) in zip(self.shards, external):
                 shard.port = port
                 shard.host = host
-                self._connect_shard(shard)
         else:
-            # Overlap the N compile+bind startups, then collect the
-            # ready lines in order.
+            # Overlap the N compile+bind startups; the bring-ups
+            # below collect the ready lines in order.
             for shard in self.shards:
-                shard.proc = self._spawn(
-                    shard,
-                    crash_after=self.config.crash_after.get(
-                        shard.index, 0))
-            for shard in self.shards:
-                shard.port = self._await_ready(shard)
-                self._connect_shard(shard)
+                self._spawn(shard, self.config.crash_after.get(
+                    shard.index, 0))
+        for shard in self.shards:
+            self._bring_up(shard)
         self._publish_ring()
 
-    def _spawn(self, shard: _Shard,
-               crash_after: int = 0) -> subprocess.Popen:
+    def _bring_up(self, shard: _Shard) -> None:
+        """The one bring-up step of start, recovery and re-add:
+        respawn the worker if it is gone (an external endpoint is
+        never respawned), wait for its ready line, then connect."""
+        if shard.proc is None and self.config.external_shards is None:
+            # A crash_after chaos fuse is deliberately not re-armed:
+            # the injected AEX fires once, as an enclave restart in
+            # repro.faults does.
+            self._spawn(shard)
+        if shard.port is None:
+            shard.port = self._await_ready(shard)
+        self._connect_shard(shard)
+
+    def _spawn(self, shard: _Shard, crash_after: int = 0) -> None:
+        """Start ``shard``'s worker process; its port is unknown until
+        :meth:`_await_ready` reads the ready line."""
         config = self.config
-        worker = ServeConfig(
-            batch=config.batch,
-            # Workers must never shed a routed request (the router's
-            # admission cap is the only shedding point), so their
-            # queue is strictly deeper than the in-flight cap.
-            queue_depth=config.queue_depth * 2 + config.batch,
-            capacity_bytes=config.capacity_bytes, engine=config.engine,
-            max_steps=config.max_steps,
-            watchdog_steps=config.watchdog_steps,
-            orphan_timeout=config.orphan_timeout)
-        if config.batch_window is not None:
-            worker.batch_window = config.batch_window
-        argv = worker_command(shard.index, worker, crash_after,
-                              config.inject, config.chaos_seed)
+        worker = {f.name: getattr(config, f.name)
+                  for f in fields(ServeConfig)}
+        # The worker listens on loopback, never stops on its own
+        # request count, and never sheds a routed request (the
+        # router's admission cap is the only shedding point), so its
+        # queue is strictly deeper than the in-flight cap.
+        worker.update(host="127.0.0.1", port=0, max_requests=None,
+                      queue_depth=config.queue_depth * 2 + config.batch)
+        argv = worker_command(shard.index, ServeConfig(**worker),
+                              crash_after, config.inject,
+                              config.chaos_seed)
         env = dict(os.environ)
         package_root = os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__))))
         env["PYTHONPATH"] = package_root + (
             os.pathsep + env["PYTHONPATH"]
             if env.get("PYTHONPATH") else "")
-        return subprocess.Popen(argv, stdout=subprocess.PIPE,
-                                env=env)
+        shard.proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                      env=env)
+        shard.port = None
 
     def _await_ready(self, shard: _Shard) -> int:
         """Read the worker's ``SHARD_READY`` line; returns its port."""
@@ -361,18 +376,24 @@ class ShardRouter(ConnectionShell):
                         continue
                     line += chunk
         text = bytes(line).split(b"\n", 1)[0].decode("latin-1")
-        fields = dict(part.split("=", 1)
-                      for part in text.split()[1:]) \
+        announced = dict(part.split("=", 1)
+                         for part in text.split()[1:]) \
             if text.startswith(READY_PREFIX) else {}
-        if "port" not in fields:
+        if "port" not in announced:
             raise RuntimeFault(
                 f"shard {shard.index} worker announced {text!r}, "
                 f"expected a {READY_PREFIX} line")
-        return int(fields["port"])
+        return int(announced["port"])
 
-    def _connect_stream(self, shard: _Shard) -> socket.socket:
-        """One bounded-retry, chaos-wrapped connect to a shard
-        endpoint; gives up as a typed NetworkFault."""
+    def _connect_shard(self, shard: _Shard) -> None:
+        """Connect to ``shard`` (bounded retries, chaos-wrapped; the
+        give-up is a typed NetworkFault) and queue its recovery down
+        the new link: the acked log as ``migrate`` slots, then the
+        in-flight slots in their original order.  Slots stay in
+        their connections' FIFOs, so replies keep their order, and
+        acknowledged state cannot be double-applied: the log holds
+        only acked mutations, and the in-flight slots were, by
+        definition, not acked."""
         wrap = None
         if self.netchaos is not None:
             chaos, name = self.netchaos, shard.name
@@ -389,20 +410,30 @@ class ShardRouter(ConnectionShell):
                             socket.TCP_NODELAY, 1)
         except OSError:
             pass
-        return sock
-
-    def _connect_shard(self, shard: _Shard) -> None:
-        sock = self._connect_stream(shard)
         sock.setblocking(False)
         shard.sock = sock
         shard.rframer = ResponseFramer()
         self.selector.register(sock, selectors.EVENT_READ, shard)
-        self.monitor.attach(shard.name)
+        now = time.monotonic()
+        self.monitor.attach(shard.name, now)
+        replayed = len(shard.acked_log)
+        reissued, shard.inflight = shard.inflight, deque()
+        for key, frame in shard.acked_log.items():
+            self._forward(shard, _Slot(None, "migrate", key, frame))
+        for slot in reissued:
+            self._forward(shard, slot)
+        shard.replaying = len(shard.inflight)
+        if replayed or reissued:
+            self.registry.inc("router.replayed_keys", replayed)
+            self.registry.inc("router.reissued_requests",
+                              len(reissued))
+        self._time_probe(shard)
         if self.tracer is not None:
             self.tracer.serve_mark(
                 "shard-start", shard.track,
                 {"port": shard.port,
-                 "pid": shard.proc.pid if shard.proc else 0})
+                 "pid": shard.proc.pid if shard.proc else 0,
+                 "replayed": replayed, "reissued": len(reissued)})
 
     def _publish_ring(self) -> None:
         """Rebalance telemetry: each shard's keyspace share (0 for
@@ -443,7 +474,8 @@ class ShardRouter(ConnectionShell):
         while self._readds:
             self._readd_shard(self.shards[self._readds.popleft()])
         self._poll(IDLE_POLL)
-        if self.monitor.enabled:
+        if self.monitor.enabled or any(
+                shard.replaying for shard in self.shards):
             self._health_sweep()
         # One coalesced write per shard/connection per round: the
         # frames routed this round reach each worker as a single
@@ -491,7 +523,10 @@ class ShardRouter(ConnectionShell):
                 self.answer(conn, protocol.SHARD_UNAVAILABLE)
                 return
         shard = self._by_name[self.ring.lookup(request.key)]
-        if len(shard.inflight) >= self.config.queue_depth:
+        # Replayed slots were admitted before the death (or are
+        # state, not requests), so they do not count against the cap.
+        if len(shard.inflight) - shard.replaying \
+                >= self.config.queue_depth:
             self.registry.inc("router.shed")
             self.answer(conn, protocol.SERVER_BUSY)
             return
@@ -519,16 +554,31 @@ class ShardRouter(ConnectionShell):
         if limit is not None and self._routed >= limit:
             self._stop = True
 
-    def _forward(self, shard: _Shard, slot: _Slot) -> None:
+    def _forward(self, shard: _Shard,
+                 slot: Optional[_Slot] = None) -> None:
         """Send ``slot`` down ``shard``'s pipe: it joins the shard's
         reply FIFO, and its frame the shard's next coalesced write.
         Every forward takes this one path — client requests, probes,
-        migrations, evictions, reroutes and re-issues — so each lands
-        in the order it was queued, and migrated state reaches a shard
-        before anything routed to it afterwards."""
-        slot.sent_at = time.monotonic()
-        shard.inflight.append(slot)
-        shard.out += slot.frame.encode("latin-1")
+        migrations, evictions, replays, reroutes and re-issues — so
+        each lands in the order it was queued, and migrated state
+        reaches a shard before anything routed to it afterwards.
+
+        At most ``queue_depth`` frames are unanswered on the wire, so
+        a long replay or migration never overruns the worker's queue;
+        the rest wait their turn in the FIFO, and each batch of
+        replies calls ``_forward(shard)`` to send the next ones."""
+        inflight = shard.inflight
+        if slot is not None:
+            inflight.append(slot)
+        window = min(len(inflight), self.config.queue_depth)
+        if shard.sent >= window:
+            return
+        now = time.monotonic()
+        while shard.sent < window:
+            queued = inflight[shard.sent]
+            queued.sent_at = now
+            shard.out += queued.frame.encode("latin-1")
+            shard.sent += 1
         self._dirty_shards.add(shard)
 
     # -- shard side --------------------------------------------------------------
@@ -551,19 +601,28 @@ class ShardRouter(ConnectionShell):
             raise IagoFault(
                 f"shard {shard.index} reply stream "
                 f"desynchronized: {error}")
-        if responses:
-            self.monitor.note_reply(shard.name)
-            shard.breaker.close()
+        if not responses:
+            return
+        self.monitor.note_reply(shard.name)
         for response in responses:
-            if not shard.inflight:
+            if not shard.sent:
                 raise IagoFault(
                     f"shard {shard.index} sent an unsolicited "
                     f"reply {response[:32]!r}")
             slot = shard.inflight.popleft()
+            shard.sent -= 1
             self._verify(shard, slot, response)
+            if shard.replaying:
+                shard.replaying -= 1
             if slot.conn is not None:
                 slot.response = response
                 self.pump(slot.conn)
+        if not shard.replaying:
+            # Only a finished replay ends the failure streak: a shard
+            # that dies mid-replay every time must open the breaker.
+            shard.breaker.close()
+        self._forward(shard)
+        self._time_probe(shard)
 
     def _verify(self, shard: _Shard, slot: _Slot,
                 response: str) -> None:
@@ -654,9 +713,13 @@ class ShardRouter(ConnectionShell):
             if shard.sock is None or \
                     shard.name not in self.ring.nodes:
                 continue
-            oldest = shard.inflight[0].sent_at \
-                if shard.inflight else None
+            oldest = shard.inflight[0].sent_at if shard.sent else None
             verdict = self.monitor.verdict(shard.name, oldest, now)
+            if verdict is None and shard.replaying \
+                    and now - oldest > self.config.replay_timeout:
+                verdict = (f"replay unanswered for {now - oldest:.2f}s "
+                           f"(replay_timeout="
+                           f"{self.config.replay_timeout}s)")
             if verdict is not None:
                 self._shard_died(shard, verdict)
                 continue
@@ -665,6 +728,14 @@ class ShardRouter(ConnectionShell):
                     idle=not shard.inflight and not shard.out,
                     now=now):
                 self._send_probe(shard, now)
+
+    def _time_probe(self, shard: _Shard) -> None:
+        """Start the probe clock when a probe is ``shard``'s oldest
+        outstanding slot.  Any reply resolves an outstanding probe,
+        so a probe re-forwarded behind replayed slots is timed from
+        when the replies ahead of it have arrived."""
+        if shard.inflight and shard.inflight[0].command == "probe":
+            self.monitor.note_probe(shard.name)
 
     def _send_probe(self, shard: _Shard, now: float) -> None:
         """An ordinary ``get`` on the reserved probe key, straight
@@ -676,12 +747,14 @@ class ShardRouter(ConnectionShell):
         self.monitor.note_probe(shard.name, now)
         self.registry.inc("router.probes")
 
-    # -- shard death and exact replay --------------------------------------------
+    # -- shard death and recovery ------------------------------------------------
 
     def _shard_died(self, shard: _Shard, why: str) -> None:
         if not self._drop(shard):
             return
         self._dirty_shards.discard(shard)
+        shard.out = bytearray()
+        shard.sent = shard.replaying = 0
         shard.breaker.trip()
         self.deaths += 1
         exit_code = None
@@ -714,9 +787,15 @@ class ShardRouter(ConnectionShell):
         on_death = self.config.on_death
         if process_alive or external:
             # A live worker or an endpoint that cannot be respawned:
-            # one bounded reconnect first.
+            # one bounded reconnect first.  Replay makes it sound even
+            # though the worker already applied some un-acked
+            # operations: the replay resets it to exactly the acked
+            # state, and the re-applied suffix is the same frames in
+            # the same order.
             try:
-                self._reconnect_shard(shard)
+                self._bring_up(shard)
+                self.reconnects += 1
+                self.registry.inc("router.shard_reconnects")
                 return
             except NetworkFault:
                 # The endpoint is really gone, not just the link.
@@ -734,7 +813,9 @@ class ShardRouter(ConnectionShell):
                 proc.stdout.close()
             shard.proc = None
         if on_death == "restart":
-            self._restart_shard(shard)
+            shard.restarts += 1
+            self.registry.inc("router.shard_restarts")
+            self._bring_up(shard)
         elif on_death == "rebalance":
             self._rebalance_away(shard, why)
         elif on_death == "degrade":
@@ -744,106 +825,6 @@ class ShardRouter(ConnectionShell):
                 f"shard {shard.index} died ({why}, exit "
                 f"{exit_code}) with {len(shard.inflight)} "
                 f"request(s) in flight and recovery disabled")
-
-    def _reconnect_shard(self, shard: _Shard) -> None:
-        """Link-only recovery: the worker (or external endpoint) is
-        alive, the connection is not.  Replay the acked log over a
-        fresh stream, then re-forward — sound even though the worker
-        already applied some un-acked operations, because replay
-        resets it to exactly the acked state first and the re-applied
-        suffix is the same frames in the same order."""
-        t0 = time.monotonic()
-        replayed = self._recover_link(shard)
-        self.reconnects += 1
-        self.registry.inc("router.shard_reconnects")
-        if self.tracer is not None:
-            self.tracer.serve_span(
-                "shard-reconnect", shard.track,
-                self.tracer.now_us(),
-                (time.monotonic() - t0) * 1e6,
-                {"replayed": replayed,
-                 "reissued": len(shard.inflight)})
-
-    def _restart_shard(self, shard: _Shard) -> None:
-        """Exact restart-and-replay: fresh worker, replay the acked
-        mutation log, re-forward the in-flight frames in order."""
-        t0 = time.monotonic()
-        # A crash_after chaos fuse is deliberately not re-armed:
-        # the injected AEX fires once, like a PR-4 enclave-restart.
-        shard.proc = self._spawn(shard, crash_after=0)
-        shard.port = self._await_ready(shard)
-        shard.restarts += 1
-        self.registry.inc("router.shard_restarts")
-        replayed = self._recover_link(shard)
-        if self.tracer is not None:
-            self.tracer.serve_span(
-                "shard-replay", shard.track,
-                self.tracer.now_us(),
-                (time.monotonic() - t0) * 1e6,
-                {"replayed": replayed,
-                 "reissued": len(shard.inflight)})
-
-    def _recover_link(self, shard: _Shard) -> int:
-        """The shared tail of every same-name recovery: replay the
-        acked log, then re-forward the in-flight frames.  Slots stay
-        in both FIFOs, so replies keep their original per-connection
-        order; acknowledged state cannot be double-applied because
-        the log only holds acked mutations and the re-forwarded
-        frames were, by definition, not acked."""
-        replayed = self._replay(shard)
-        shard.out = bytearray()
-        reissued, shard.inflight = shard.inflight, deque()
-        for slot in reissued:
-            self._forward(shard, slot)
-        self.registry.inc("router.reissued_requests", len(reissued))
-        self.selector.register(shard.sock, selectors.EVENT_READ,
-                               shard)
-        now = time.monotonic()
-        self.monitor.attach(shard.name, now)
-        if shard.inflight and any(s.command == "probe"
-                                  for s in shard.inflight):
-            self.monitor.note_probe(shard.name, now)
-        self._flush_shard(shard)
-        return replayed
-
-    def _replay(self, shard: _Shard) -> int:
-        """Pipeline the compacted acked-mutation log into the fresh
-        worker (blocking, verified): the shard's acknowledged state,
-        rebuilt exactly."""
-        sock = self._connect_stream(shard)
-        sock.settimeout(self.config.replay_timeout)
-        frames = list(shard.acked_log.values())
-        framer = ResponseFramer()
-        acked = 0
-        try:
-            for start in range(0, len(frames), 128):
-                window = frames[start:start + 128]
-                sock.sendall("".join(window).encode("latin-1"))
-                need = start + len(window)
-                while acked < need:
-                    data = sock.recv(65536)
-                    if not data:
-                        raise RuntimeFault(
-                            f"shard {shard.index} died again "
-                            f"during replay ({acked}/{len(frames)} "
-                            f"keys)")
-                    framer.feed(data)
-                    for response in framer.drain():
-                        if response != protocol.STORED:
-                            raise IagoFault(
-                                f"replay into shard {shard.index} "
-                                f"answered {response.strip()!r}, "
-                                f"expected STORED")
-                        acked += 1
-        except (FrameError, OSError) as error:
-            sock.close()
-            raise RuntimeFault(
-                f"replay into shard {shard.index} failed: {error}")
-        sock.setblocking(False)
-        shard.sock = sock
-        shard.rframer = ResponseFramer()
-        self.registry.inc("router.replayed_keys", len(frames))
-        return len(frames)
 
     # -- ring rebalancing and degraded mode --------------------------------------
 
@@ -856,7 +837,6 @@ class ShardRouter(ConnectionShell):
         answered ``SHARD_UNAVAILABLE`` on the spot."""
         pending = shard.inflight
         shard.inflight = deque()
-        shard.out = bytearray()
         rerouted = 0
         for slot in pending:
             if slot.command in ("probe", "evict"):
@@ -950,13 +930,7 @@ class ShardRouter(ConnectionShell):
         places on the returning shard (~1/N)."""
         if shard.name in self.ring.nodes:
             return
-        if self.config.external_shards is None:
-            shard.proc = self._spawn(shard, crash_after=0)
-            shard.port = self._await_ready(shard)
-        shard.acked_log = {}
-        shard.inflight = deque()
-        shard.out = bytearray()
-        self._connect_shard(shard)
+        self._bring_up(shard)
         shard.breaker.close()
         self.ring.add(shard.name)
         self.registry.inc("router.readds")

@@ -84,13 +84,11 @@ class EnclaveFaultModel:
 
 
 class EnclaveManager:
-    """Tracks the enclaves of a machine and their EPC occupancy."""
+    """Tracks the enclaves of a machine: creation and attestation."""
 
-    def __init__(self, machine: Machine, epc_bytes: int,
-                 slot_bytes: int = 8):
+    def __init__(self, machine: Machine, epc_bytes: int):
         self.machine = machine
         self.epc_bytes = epc_bytes
-        self.slot_bytes = slot_bytes
         self.enclaves: Dict[str, Enclave] = {}
 
     def create(self, color: str, module: Module) -> Enclave:
@@ -106,9 +104,3 @@ class EnclaveManager:
         enclave = self.enclaves.get(color)
         return (enclave is not None
                 and enclave.measurement == expected_measurement)
-
-    def resident_bytes(self, color: str) -> int:
-        """Live data inside the enclave's region (heap + stack +
-        globals), in bytes."""
-        return self.machine.memory.region_slots(
-            enclave_region(color)) * self.slot_bytes

@@ -10,7 +10,7 @@ byte-identically to the unoptimized one on every interpreter engine.
 import pytest
 
 from repro.core.colors import RELAXED
-from repro.core.compiler import PrivagicCompiler, compile_and_partition
+from repro.core.compiler import PrivagicCompiler
 from repro.core.placement import (
     KLPolicy,
     NonePolicy,
@@ -18,7 +18,6 @@ from repro.core.placement import (
     format_partition_stats,
     optimize_placement,
     partition_stats,
-    placement_report,
     policy_by_name,
     verify_decisions,
     verify_placement,

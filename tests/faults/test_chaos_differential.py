@@ -9,7 +9,6 @@ import os
 import pytest
 
 from repro.core.compiler import compile_and_partition
-from repro.errors import RuntimeFault
 from repro.faults import FaultPlan
 from repro.faults.differential import (
     SILENTLY_WRONG,

@@ -10,7 +10,6 @@ from repro.ir import (
     FunctionType,
     I8,
     I32,
-    I64,
     IRBuilder,
     Module,
     verify_function,

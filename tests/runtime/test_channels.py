@@ -83,7 +83,6 @@ def test_deadlock_reported_not_hung():
     from repro.errors import RuntimeFault
     from repro.core.partition import PartitionedProgram
     from repro.core.analysis import AnalysisResult
-    from repro.frontend import compile_source
     from repro.ir import Function, FunctionType, IRBuilder, Module, I64
     from repro.ir.types import PointerType, I8
     from repro.runtime import PrivagicRuntime

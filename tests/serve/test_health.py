@@ -3,7 +3,6 @@ liveness monitor, and the per-shard circuit breaker — all driven
 with explicit clocks, no sleeping."""
 
 import socket
-import threading
 
 import pytest
 

@@ -12,7 +12,6 @@ from repro.faults.netchaos import (
     SHORT_READ_BYTES,
     SILENTLY_WRONG,
     TYPED_FAULT,
-    ChaosSocket,
     NetChaos,
     netchaos_sweep,
     summarize,

@@ -4,6 +4,7 @@ mode, and shard re-add with inverse migration."""
 
 import signal
 import socket
+import threading
 import time
 
 import pytest
@@ -12,7 +13,7 @@ from repro.apps.minicache import protocol
 from repro.errors import NetworkFault, fault_exit_code
 from repro.serve.engine import SecureKVEngine
 from repro.serve.loadgen import LoadClient, LoadError, run_load
-from repro.serve.router import RouterConfig, RouterThread, ShardRouter
+from repro.serve.router import RouterConfig, RouterThread
 from repro.serve.server import ServeConfig, ServerThread
 
 from tests.serve.test_shard_router import (
@@ -83,6 +84,126 @@ def test_link_reset_reconnects_with_exact_state():
     stats = rt.router.stats()
     assert stats["reconnects"] == 1
     assert stats["restarts"] == 0
+
+
+def test_other_shards_serve_while_one_replays():
+    # Replay is ordinary traffic on the recovering shard's FIFO: while
+    # shard 0 holds back its replay replies, the loop keeps serving,
+    # and a request for a key on shard 1 is answered at once.
+    holding = threading.Event()
+    release = threading.Event()
+    hold = {"sets": False}
+
+    def held_replay(request):
+        if hold["sets"] and request.command == "set":
+            holding.set()
+            release.wait(10.0)
+        return fakes[0].honest(request)
+
+    fakes = [FakeShard(respond=held_replay), FakeShard()]
+    with make_router(fakes=fakes, replay_timeout=5.0,
+                     connect_timeout=2.0, connect_retries=2,
+                     backoff_base=0.01, backoff_cap=0.05) as rt:
+        (key0,), (key1,) = keys_for_each_shard(rt.router)
+        client = LoadClient("127.0.0.1", rt.router.port, timeout=5.0)
+        assert client.set(key0, b"zero") == protocol.STORED
+        assert client.set(key1, b"one") == protocol.STORED
+        hold["sets"] = True
+        fakes[0].drop()
+        assert holding.wait(5.0), "shard 0 never started its replay"
+        started = time.monotonic()
+        assert protocol.parse_value_response(client.get(key1)) \
+            == b"one"
+        assert time.monotonic() - started < 1.0
+        release.set()
+        assert protocol.parse_value_response(client.get(key0)) \
+            == b"zero"
+        client.close()
+        rt.stop()
+    release.set()
+    for fake in fakes:
+        fake.close()
+    assert rt.error is None
+    assert rt.router.stats()["reconnects"] == 1
+
+
+class ReplayCutter:
+    """A fake shard that, once armed, cuts each of its next ``cuts``
+    sessions after answering ``after`` frames — a link that dies a
+    few frames into every replay."""
+
+    def __init__(self, cuts: int, after: int = 3):
+        self.cuts = cuts
+        self.after = after
+        self.armed = False
+        self.session = None
+        self.answered = 0
+        self.fake = FakeShard(respond=self.respond)
+
+    def respond(self, request):
+        conn = self.fake.conn
+        if not self.armed:
+            return self.fake.honest(request)
+        if conn is not self.session:
+            self.session, self.answered = conn, 0
+        if self.answered < 0:
+            return None                  # this session was cut
+        if self.cuts and self.answered == self.after:
+            self.cuts -= 1
+            self.answered = -1
+            self.fake.drop()
+            return None
+        self.answered += 1
+        return self.fake.honest(request)
+
+
+def _cut_replays(cuts):
+    """Set keys on both shards, reset shard 0's link, and read every
+    key back while shard 0's replays are cut ``cuts`` times."""
+    cutter = ReplayCutter(cuts)
+    other = FakeShard()
+    with make_router(fakes=[cutter.fake, other], max_restarts=3,
+                     connect_timeout=2.0, connect_retries=2,
+                     backoff_base=0.01, backoff_cap=0.05) as rt:
+        keys0, keys1 = keys_for_each_shard(rt.router, count=8)
+        client = LoadClient("127.0.0.1", rt.router.port, timeout=5.0)
+        expected = {}
+        for key in keys0 + keys1:
+            expected[key] = f"value-{key}".encode()
+            assert client.set(key, expected[key]) == protocol.STORED
+        cutter.armed = True
+        cutter.fake.drop()
+        got = {}
+        try:
+            for key in keys0 + keys1:
+                got[key] = protocol.parse_value_response(
+                    client.get(key))
+        except (LoadError, OSError):
+            pass
+        client.close()
+        rt.stop()
+    cutter.fake.close()
+    other.close()
+    return rt, expected, got
+
+
+def test_replay_cut_once_recovers_exactly():
+    rt, expected, got = _cut_replays(cuts=1)
+    assert rt.error is None
+    assert got == expected
+    stats = rt.router.stats()
+    assert stats["deaths"] == 2
+    assert stats["reconnects"] == 2
+    assert rt.router.final_digests() == {
+        key: SecureKVEngine.digest(value)
+        for key, value in expected.items()}
+
+
+def test_replay_cut_every_time_opens_the_circuit_breaker():
+    rt, _expected, _got = _cut_replays(cuts=100)
+    assert isinstance(rt.error, NetworkFault)
+    assert "circuit breaker" in str(rt.error)
+    assert rt.router.stats()["deaths"] == 3
 
 
 def test_unanswered_probes_open_the_circuit_breaker():

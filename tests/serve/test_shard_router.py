@@ -378,6 +378,28 @@ def test_sigkill_mid_run_recovers_with_exact_state(expected_digest):
         for key, value in expected.items()}
 
 
+def test_replay_longer_than_the_worker_queue_recovers():
+    # A worker queues at most queue_depth * 2 + batch requests (10
+    # here).  The router keeps at most queue_depth frames unanswered on
+    # a shard link, so replaying far more keys than that into the
+    # restarted worker never makes it shed.
+    with make_router(shards=2, batch=2, queue_depth=4) as rt:
+        client = LoadClient("127.0.0.1", rt.router.port)
+        expected = {}
+        for i in range(60):
+            value = f"value{i}".encode()
+            assert client.set(f"user{i}", value) == protocol.STORED
+            expected[f"user{i}"] = value
+        rt.router.shards[0].proc.send_signal(signal.SIGKILL)
+        for i in range(60):
+            assert protocol.parse_value_response(
+                client.get(f"user{i}")) == expected[f"user{i}"]
+        client.close()
+        rt.stop()
+    assert rt.error is None
+    assert rt.router.registry.value("router.replayed_keys") > 10
+
+
 def test_crash_after_fuse_recovers_in_flight_requests():
     # The chaos fuse kills shard 0 at a deterministic op count while
     # load is in flight; recovery must replay acked state and

@@ -12,7 +12,7 @@ from repro.sgx import (
     miss_ratio_uniform,
     miss_ratio_zipfian,
 )
-from repro.sgx.costmodel import CostParams, MIB, GIB
+from repro.sgx.costmodel import MIB, GIB
 
 
 def test_machine_geometries_match_paper():
