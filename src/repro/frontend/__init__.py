@@ -20,11 +20,13 @@ source language again.
 from repro.frontend.lexer import Lexer, Token, tokenize
 from repro.frontend.parser import Parser, parse
 from repro.frontend.codegen import CodeGenerator
-from repro.frontend.driver import compile_source
+
+compile_source = CodeGenerator.compile_source
+lower_source = CodeGenerator.lower_source
 
 __all__ = [
     "Lexer", "Token", "tokenize",
     "Parser", "parse",
     "CodeGenerator",
-    "compile_source",
+    "compile_source", "lower_source",
 ]

@@ -3,7 +3,8 @@
 A Python-like secure scripting language: functions over 64-bit
 integers and byte strings, ``while``/``if``, calls, and
 ``secure("color", value)`` / ``public(value)`` module-level
-declarations.  Lowers through :mod:`repro.secval` onto the same IR,
+declarations.  Lowers through the shared lowering core
+(:mod:`repro.frontend.lowering`) and :mod:`repro.secval` onto the same IR,
 pipeline, partitioner and engines as MiniC; a module lowered from
 MiniPy is indistinguishable from one lowered from MiniC.
 
@@ -20,8 +21,11 @@ MiniPy is indistinguishable from one lowered from MiniC.
         return x
 """
 
-from repro.frontend.minipy.driver import compile_source, lower_source
+from repro.frontend.minipy.codegen import CodeGenerator
 from repro.frontend.minipy.lexer import tokenize
 from repro.frontend.minipy.parser import parse
+
+compile_source = CodeGenerator.compile_source
+lower_source = CodeGenerator.lower_source
 
 __all__ = ["compile_source", "lower_source", "parse", "tokenize"]

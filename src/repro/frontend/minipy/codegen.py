@@ -13,31 +13,39 @@ into a shared module (``repro.secval.compile_cross``), a MiniPy call
 site resolves MiniC-defined functions (and the shared mini-libc
 builtins) by name, with normal argument coercion to the callee's
 parameter types.
+
+Control flow, strings, truthiness, coercion and calls are the lowering
+core's (:class:`repro.frontend.lowering.Lowering`); this module adds
+only what is MiniPy's own: the flat function namespace and the
+module-level ``secure``/``public`` globals.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.errors import FrontendError
+from repro.frontend.lowering import (
+    ARITH_OPCODES,
+    CMP_PREDICATES,
+    Lowering,
+    LoweringPolicy,
+)
 from repro.frontend.minipy import ast_nodes as ast
+from repro.frontend.minipy.parser import parse
 from repro.ir import (
     ArrayType,
-    BasicBlock,
     Constant,
     Function,
     FunctionType,
     GlobalVariable,
-    IRBuilder,
     IRType,
     Module,
     PointerType,
-    I1,
     I8,
     I64,
 )
-from repro.ir.types import IntType
-from repro.secval.lowering import auto_declare_builtin, validate_annotation
+from repro.secval.lowering import validate_annotation
 from repro.secval.model import validate_color_name
 
 #: Module-level declaration forms; calling these inside a function is
@@ -45,20 +53,12 @@ from repro.secval.model import validate_color_name
 _DECL_FORMS = ("secure", "public")
 
 
-class CodeGenerator:
+class CodeGenerator(Lowering):
     """Generates one IR module from one MiniPy program."""
 
-    def __init__(self, module_name: str = "minipy",
-                 module: Optional[Module] = None):
-        # Lower into ``module`` when given (cross-language composition
-        # via repro.secval.compile_cross), else into a fresh module.
-        self.module = module if module is not None else Module(module_name)
-        self._string_counter = 0
-        # per-function state
-        self.builder: Optional[IRBuilder] = None
-        self.function: Optional[Function] = None
-        self.locals: Dict[str, object] = {}
-        self._loop_stack: List[Tuple[BasicBlock, BasicBlock]] = []
+    language = "minipy"
+    policy = LoweringPolicy(bool_widening="zext", truth_type=I64)
+    parse = staticmethod(parse)
 
     # -- entry point --------------------------------------------------------------
 
@@ -109,42 +109,21 @@ class CodeGenerator:
         self.module.add_function(fn)
 
     def _define_function(self, decl: ast.FunctionDef) -> None:
-        fn = self.module.get_function(decl.name)
-        self.function = fn
-        self.locals = {}
-        self._loop_stack = []
-        entry = fn.add_block("entry")
-        self.builder = IRBuilder(entry)
-
-        # Python function semantics: one flat namespace.  Every
-        # parameter and every name the body assigns gets an i64
-        # entry-block slot (promoted by mem2reg), so a value survives
-        # loop iterations regardless of where the first assignment
-        # sits.
-        for arg in fn.args:
-            slot = self.builder.alloca(I64, f"{arg.name}.addr")
-            self.builder.store(arg, slot)
-            self.locals[arg.name] = slot
+        self._begin_function(self.module.get_function(decl.name))
+        # Python function semantics: one flat namespace.  Every name
+        # the body assigns gets an i64 entry-block slot next to the
+        # parameters' (promoted by mem2reg), so a value survives loop
+        # iterations regardless of where the first assignment sits.
         # A name bound at module level stays global — assignment
         # writes through (C-style; MiniPy has no ``global`` keyword).
         for name in _assigned_names(decl.body):
-            if name in self.locals or name in self.module.globals:
+            if self._slot(name) is not None:
                 continue
             slot = self.builder.alloca(I64, name)
             self.builder.store(self.builder.const_i64(0), slot)
-            self.locals[name] = slot
-
+            self.scope.define(name, slot)
         self._gen_body(decl.body)
-
-        if self.builder.block is not None and \
-                not self.builder.block.is_terminated:
-            self.builder.ret(self.builder.const_i64(0))
-        for block in fn.blocks:
-            if not block.is_terminated:
-                IRBuilder(block).ret(IRBuilder.const_i64(0))
-        self.function = None
-        self.builder = None
-        self.locals = {}
+        self._end_function()
 
     # -- statements ------------------------------------------------------------------------
 
@@ -159,11 +138,11 @@ class CodeGenerator:
         elif isinstance(stmt, ast.ExprStmt):
             self._gen_rvalue(stmt.expr)
         elif isinstance(stmt, ast.If):
-            self._gen_if(stmt)
+            self._gen_if(stmt.cond, stmt.body, stmt.orelse)
         elif isinstance(stmt, ast.While):
-            self._gen_while(stmt)
+            self._gen_while(stmt.cond, stmt.body)
         elif isinstance(stmt, ast.Return):
-            self._gen_return(stmt)
+            self._gen_return(stmt.value, stmt)
         elif isinstance(stmt, ast.Break):
             self._gen_break(stmt)
         elif isinstance(stmt, ast.Continue):
@@ -175,87 +154,19 @@ class CodeGenerator:
                                 stmt.line, stmt.column)
 
     def _gen_assign(self, stmt: ast.Assign) -> None:
-        slot = self.locals.get(stmt.target)
+        slot = self._slot(stmt.target)
         if slot is None:
-            gv = self.module.globals.get(stmt.target)
-            if gv is None:
-                raise FrontendError(
-                    f"undefined variable {stmt.target!r}",
-                    stmt.line, stmt.column)
-            slot = gv
-        value = self._gen_rvalue(stmt.value)
+            raise FrontendError(f"undefined variable {stmt.target!r}",
+                                stmt.line, stmt.column)
+        value, = self._gen_operands(stmt, stmt.value)
         if stmt.op is not None:
             old = self.builder.load(slot)
             value = self.builder.binop(
                 _ARITH_MAP[stmt.op],
                 self._coerce(old, I64, stmt),
                 self._coerce(value, I64, stmt))
-        self.builder.set_loc(stmt)
         value = self._coerce(value, slot.type.pointee, stmt)
         self.builder.store(value, slot)
-
-    def _gen_if(self, stmt: ast.If) -> None:
-        cond = self._gen_condition(stmt.cond)
-        fn = self.function
-        then_block = fn.add_block("if.then")
-        merge_block = fn.add_block("if.end")
-        else_block = fn.add_block("if.else") if stmt.orelse else merge_block
-        self.builder.branch(cond, then_block, else_block)
-
-        self.builder.position_at_end(then_block)
-        self._gen_body(stmt.body)
-        if not self.builder.block.is_terminated:
-            self.builder.jump(merge_block)
-
-        if stmt.orelse:
-            self.builder.position_at_end(else_block)
-            self._gen_body(stmt.orelse)
-            if not self.builder.block.is_terminated:
-                self.builder.jump(merge_block)
-
-        self.builder.position_at_end(merge_block)
-
-    def _gen_while(self, stmt: ast.While) -> None:
-        fn = self.function
-        cond_block = fn.add_block("while.cond")
-        body_block = fn.add_block("while.body")
-        end_block = fn.add_block("while.end")
-        self.builder.jump(cond_block)
-
-        self.builder.position_at_end(cond_block)
-        cond = self._gen_condition(stmt.cond)
-        self.builder.branch(cond, body_block, end_block)
-
-        self.builder.position_at_end(body_block)
-        self._loop_stack.append((end_block, cond_block))
-        self._gen_body(stmt.body)
-        self._loop_stack.pop()
-        if not self.builder.block.is_terminated:
-            self.builder.jump(cond_block)
-
-        self.builder.position_at_end(end_block)
-
-    def _gen_return(self, stmt: ast.Return) -> None:
-        if stmt.value is None:
-            self.builder.ret(self.builder.const_i64(0))
-        else:
-            value = self._gen_rvalue(stmt.value)
-            self.builder.ret(self._coerce(value, I64, stmt))
-        self.builder.position_at_end(self.function.add_block("dead"))
-
-    def _gen_break(self, stmt: ast.Break) -> None:
-        if not self._loop_stack:
-            raise FrontendError("break outside a loop", stmt.line,
-                                stmt.column)
-        self.builder.jump(self._loop_stack[-1][0])
-        self.builder.position_at_end(self.function.add_block("dead"))
-
-    def _gen_continue(self, stmt: ast.Continue) -> None:
-        if not self._loop_stack:
-            raise FrontendError("continue outside a loop", stmt.line,
-                                stmt.column)
-        self.builder.jump(self._loop_stack[-1][1])
-        self.builder.position_at_end(self.function.add_block("dead"))
 
     # -- expressions --------------------------------------------------------------------
 
@@ -266,7 +177,7 @@ class CodeGenerator:
         if isinstance(expr, ast.StringLiteral):
             return self._gen_string(expr.value)
         if isinstance(expr, ast.Name):
-            return self._gen_name(expr)
+            return self._gen_identifier(expr.name, expr)
         if isinstance(expr, ast.Call):
             return self._gen_call(expr)
         if isinstance(expr, ast.BinOp):
@@ -274,43 +185,12 @@ class CodeGenerator:
         if isinstance(expr, ast.Compare):
             return self._gen_compare(expr)
         if isinstance(expr, ast.BoolOp):
-            return self._gen_bool_op(expr)
+            return self._gen_short_circuit(expr.op == "and", expr.lhs,
+                                           expr.rhs, expr)
         if isinstance(expr, ast.UnaryOp):
             return self._gen_unary(expr)
         raise FrontendError(f"cannot generate {type(expr).__name__}",
                             expr.line, expr.column)
-
-    def _gen_string(self, text: str):
-        # Same namespace as MiniC strings; skip names an earlier unit
-        # in a cross-language module already claimed.
-        name = f".str{self._string_counter}"
-        self._string_counter += 1
-        while name in self.module.globals:
-            name = f".str{self._string_counter}"
-            self._string_counter += 1
-        arr_type = ArrayType(I8, len(text) + 1)
-        gv = self.module.add_global(
-            GlobalVariable(name, arr_type, Constant(arr_type, text)))
-        zero = self.builder.const_int(0)
-        return self.builder.gep(gv, [zero, zero])
-
-    def _gen_name(self, expr: ast.Name):
-        slot = self.locals.get(expr.name)
-        if slot is None:
-            gv = self.module.globals.get(expr.name)
-            if gv is not None:
-                slot = gv
-            else:
-                fn = self.module.functions.get(expr.name) or \
-                    auto_declare_builtin(self.module, expr.name)
-                if fn is not None:
-                    return fn
-                raise FrontendError(f"undefined variable {expr.name!r}",
-                                    expr.line, expr.column)
-        if isinstance(slot.type.pointee, ArrayType):
-            zero = self.builder.const_int(0)
-            return self.builder.gep(slot, [zero, zero])
-        return self.builder.load(slot)
 
     def _gen_call(self, expr: ast.Call):
         if expr.callee in _DECL_FORMS:
@@ -318,75 +198,31 @@ class CodeGenerator:
                 f"{expr.callee}(...) declarations are only allowed at "
                 f"module level; colors are fixed at compile time "
                 f"(paper §4)", expr.line, expr.column)
-        args = [self._gen_rvalue(a) for a in expr.args]
-        self.builder.set_loc(expr)
-        callee = self.module.functions.get(expr.callee) or \
-            auto_declare_builtin(self.module, expr.callee)
+        args = self._gen_operands(expr, *expr.args)
+        callee = self._function_named(expr.callee)
         if callee is None:
             raise FrontendError(f"undefined function {expr.callee!r}",
                                 expr.line, expr.column)
-        ftype = callee.ftype
-        fixed = len(ftype.params)
-        if len(args) < fixed or (len(args) > fixed and not ftype.vararg):
-            raise FrontendError(
-                f"call expects {fixed} arguments, got {len(args)}",
-                expr.line, expr.column)
-        coerced = [self._coerce(a, t, expr)
-                   for a, t in zip(args, ftype.params)]
-        coerced.extend(args[fixed:])
-        return self.builder.call(callee, coerced)
-
-    _CMP_MAP = {"==": "eq", "!=": "ne", "<": "slt", "<=": "sle",
-                ">": "sgt", ">=": "sge"}
+        return self._gen_call_to(callee, args, expr)
 
     def _gen_compare(self, expr: ast.Compare):
-        lhs = self._gen_rvalue(expr.lhs)
-        rhs = self._gen_rvalue(expr.rhs)
-        self.builder.set_loc(expr)
+        lhs, rhs = self._gen_operands(expr, expr.lhs, expr.rhs)
         if not (isinstance(lhs.type, PointerType)
                 and isinstance(rhs.type, PointerType)):
             lhs = self._coerce(lhs, I64, expr)
             rhs = self._coerce(rhs, I64, expr)
-        return self.builder.cmp(self._CMP_MAP[expr.op], lhs, rhs)
+        return self.builder.cmp(CMP_PREDICATES[expr.op], lhs, rhs)
 
     def _gen_binop(self, expr: ast.BinOp):
-        lhs = self._gen_rvalue(expr.lhs)
-        rhs = self._gen_rvalue(expr.rhs)
-        self.builder.set_loc(expr)
+        lhs, rhs = self._gen_operands(expr, expr.lhs, expr.rhs)
         lhs = self._coerce(lhs, I64, expr)
         rhs = self._coerce(rhs, I64, expr)
         return self.builder.binop(_ARITH_MAP[expr.op], lhs, rhs)
 
-    def _gen_bool_op(self, expr: ast.BoolOp):
-        fn = self.function
-        rhs_block = fn.add_block("sc.rhs")
-        merge_block = fn.add_block("sc.end")
-        lhs = self._to_bool(self._gen_rvalue(expr.lhs))
-        lhs_block = self.builder.block
-        if expr.op == "and":
-            self.builder.branch(lhs, rhs_block, merge_block)
-        else:
-            self.builder.branch(lhs, merge_block, rhs_block)
-
-        self.builder.position_at_end(rhs_block)
-        rhs = self._to_bool(self._gen_rvalue(expr.rhs))
-        rhs_end = self.builder.block
-        self.builder.jump(merge_block)
-
-        self.builder.position_at_end(merge_block)
-        phi = self.builder.phi(I1)
-        phi.add_incoming(self.builder.const_bool(expr.op == "or"),
-                         lhs_block)
-        phi.add_incoming(rhs, rhs_end)
-        return phi
-
     def _gen_unary(self, expr: ast.UnaryOp):
-        operand = self._gen_rvalue(expr.operand)
-        self.builder.set_loc(expr)
         if expr.op == "not":
-            as_bool = self._to_bool(operand)
-            return self.builder.cmp("eq", as_bool,
-                                    self.builder.const_bool(False))
+            return self._gen_not(expr.operand, expr)
+        operand, = self._gen_operands(expr, expr.operand)
         operand = self._coerce(operand, I64, expr)
         if expr.op == "-":
             return self.builder.sub(Constant(I64, 0), operand)
@@ -395,63 +231,9 @@ class CodeGenerator:
         raise FrontendError(f"unsupported unary {expr.op!r}",
                             expr.line, expr.column)
 
-    # -- helpers ------------------------------------------------------------------------------------
 
-    def _gen_condition(self, expr: ast.Node):
-        return self._to_bool(self._gen_rvalue(expr))
-
-    def _to_bool(self, value):
-        if isinstance(value.type, IntType) and value.type.bits == 1:
-            return value
-        if isinstance(value.type, PointerType):
-            as_int = self.builder.cast("ptrtoint", value, I64)
-            return self.builder.cmp("ne", as_int, Constant(I64, 0))
-        return self.builder.cmp("ne", self._coerce(value, I64, None),
-                                Constant(I64, 0))
-
-    def _coerce(self, value, to_type: IRType, node):
-        """Convert ``value`` to ``to_type``, inserting casts as needed.
-
-        Unlike C, a MiniPy boolean widens with ``zext`` so ``True``
-        is 1, not -1.
-        """
-        from_type = value.type
-        if from_type == to_type:
-            return value
-        if not isinstance(to_type, PointerType) and \
-                from_type.strip_color() == to_type.strip_color():
-            return value
-        if isinstance(from_type, IntType) and isinstance(to_type, IntType):
-            if isinstance(value, Constant):
-                return Constant(to_type.strip_color(), value.value)
-            if from_type.bits == to_type.bits:
-                return value
-            if from_type.bits > to_type.bits:
-                kind = "trunc"
-            else:
-                kind = "zext" if from_type.bits == 1 else "sext"
-            return self.builder.cast(kind, value, to_type.strip_color())
-        if isinstance(from_type, PointerType) and isinstance(to_type,
-                                                             PointerType):
-            return self.builder.bitcast(value, to_type)
-        if isinstance(to_type, PointerType) and isinstance(value, Constant) \
-                and value.value == 0:
-            return Constant(to_type, 0)
-        if isinstance(from_type, PointerType) and isinstance(to_type,
-                                                             IntType):
-            return self.builder.cast("ptrtoint", value,
-                                     to_type.strip_color())
-        if isinstance(from_type, IntType) and isinstance(to_type,
-                                                         PointerType):
-            return self.builder.cast("inttoptr", value, to_type)
-        raise FrontendError(
-            f"cannot convert {from_type} to {to_type}",
-            getattr(node, "line", 0), getattr(node, "column", 0))
-
-
-_ARITH_MAP = {"+": "add", "-": "sub", "*": "mul", "//": "sdiv",
-              "%": "srem", "&": "and", "|": "or", "^": "xor",
-              "<<": "shl", ">>": "ashr"}
+#: ``//`` and ``%`` truncate toward zero, as in C (not Python's floor).
+_ARITH_MAP = {**ARITH_OPCODES, "//": "sdiv"}
 
 
 def _assigned_names(statements: List[ast.Node]) -> List[str]:

@@ -1,21 +1,14 @@
 """Frontend registry: name → frontend, extension auto-detection, and
 cross-language composition.
 
-A registered frontend is a thin descriptor over a driver module that
-implements the two-function lowering contract:
-
-``compile_source(source, module_name, verify=True, passes=None)``
-    Lower one source text into a fresh :class:`repro.ir.Module` and
-    run the frontend pipeline over it.
-
-``lower_source(source, module, filename)``
-    Lower one source text *into an existing module* (no pipeline) —
-    the primitive :func:`compile_cross` uses to build one IR module
-    from units written in different languages, so a MiniPy workload
-    script can call MiniC enclave logic directly.
-
-Driver modules are imported lazily so the registry stays import-light
-and frontends may depend on the rest of the toolchain freely.
+A registered frontend names the module that exports its
+``compile_source``/``lower_source`` pair, the two classmethods of the
+shared lowering core (:class:`repro.frontend.lowering.Lowering`):
+``compile_source`` lowers one source text into a fresh module and runs
+the frontend pipeline; ``lower_source`` lowers it into an existing
+module, the primitive :func:`compile_cross` builds one module from
+units in different languages with.  That module is imported on first
+use.
 """
 
 from __future__ import annotations
@@ -45,8 +38,7 @@ class Frontend:
     def compile_source(self, source: str, module_name: str = "",
                        verify: bool = True, passes=None) -> Module:
         return self._driver().compile_source(
-            source, module_name or self.name, verify=verify,
-            passes=passes)
+            source, module_name, verify=verify, passes=passes)
 
     def lower_source(self, source: str, module: Module,
                      filename: str = "<source>") -> None:
@@ -155,11 +147,11 @@ register_frontend(Frontend(
     "minic",
     "MiniC — the paper's C dialect with color(...) qualifiers",
     (".c", ".mc", ".minic"),
-    "repro.frontend.driver"))
+    "repro.frontend"))
 
 register_frontend(Frontend(
     "minipy",
     "MiniPy — a Python-like secure scripting language with "
     "secure(...)/public(...) declarations",
     (".mpy", ".minipy"),
-    "repro.frontend.minipy.driver"))
+    "repro.frontend.minipy"))

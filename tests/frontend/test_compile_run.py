@@ -204,3 +204,46 @@ def test_do_while_and_ternary():
         }
     """)
     assert result == 10
+
+
+def test_compound_assignment_evaluates_its_target_once():
+    # C: `a[i++] += 5` reads and writes a[0] and bumps i once.
+    result, _ = run("""
+        int main() {
+            int a[3];
+            a[0] = 0; a[1] = 0; a[2] = 0;
+            int i = 0;
+            a[i++] += 5;
+            return i * 100 + a[0] * 10 + a[1];
+        }
+    """)
+    assert result == 150
+
+
+def test_compound_assignment_through_a_pointer_and_a_member():
+    result, _ = run("""
+        struct cell { long v; };
+        long bump(long *p) { *p += 3; return *p; }
+        int main() {
+            struct cell c;
+            c.v = 4;
+            c.v *= 5;
+            long n = 1;
+            return c.v + bump(&n);
+        }
+    """)
+    assert result == 24
+
+
+def test_integer_literal_beyond_int_range_is_long():
+    result, _ = run("""
+        long main() {
+            long x = 2147483648 + 0;
+            return x;
+        }
+    """)
+    assert result == 2147483648
+    result, _ = run("long main() { return 2147483648 * 2; }")
+    assert result == 4294967296
+    result, _ = run("int main() { return 2147483647 + 0; }")
+    assert result == 2147483647

@@ -8,7 +8,7 @@ import pytest
 from repro.core.compiler import compile_and_partition
 from repro.errors import SecureTypeError
 from repro.frontend import compile_source
-from repro.ir.instructions import Call, Store
+from repro.ir.instructions import BinOp, Call, Store
 
 BROKEN = """\
 long color(blue) secret = 1;
@@ -92,3 +92,45 @@ def test_error_without_location_has_no_source_suffix():
     error = SecureTypeError("store", "leak")
     assert error.loc is None
     assert "source line" not in str(error)
+
+
+def test_an_expression_carries_its_own_line_not_its_last_operands():
+    # The add and the store belong to line 5 even though their last
+    # operand, the call, sits on line 6.
+    module = compile_source("""\
+int g(int v) { return v; }
+
+entry int main() {
+    int a = 1;
+    int x = a +
+        g(a);
+    return x;
+}
+""")
+    main = module.functions["main"]
+    instrs = [i for block in main.blocks for i in block.instructions]
+    call = next(i for i in instrs if isinstance(i, Call))
+    add = next(i for i in instrs
+               if isinstance(i, BinOp) and i.op == "add")
+    store = [i for i in instrs if isinstance(i, Store)][-1]
+    assert call.loc[0] == 6
+    assert add.loc[0] == 5
+    assert store.loc[0] == 5
+
+
+def test_multiline_assignment_violation_names_the_assignment_line():
+    source = """\
+long color(blue) secret = 1;
+long out = 0;
+
+long id(long v) { return v; }
+
+entry void main() {
+    out = secret +
+        id(2);
+}
+"""
+    with pytest.raises(SecureTypeError) as excinfo:
+        compile_and_partition(source)
+    assert excinfo.value.loc is not None
+    assert excinfo.value.loc[0] == 7       # `out = secret +`

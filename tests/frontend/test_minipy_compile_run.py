@@ -175,3 +175,18 @@ def main():
 def test_bad_programs_raise_frontend_errors(source, fragment):
     with pytest.raises(FrontendError, match=fragment):
         compile_and_partition(source, frontend="minipy")
+
+
+def test_division_and_remainder_truncate_toward_zero():
+    # `//` and `%` lower to sdiv/srem and truncate like C, not floor
+    # like Python: -7 // 2 is -3 and -7 % 2 is -1.
+    assert result_of("""\
+@entry
+def main():
+    return (-7 // 2) * 10 + (-7 % 2)
+""") == -31
+    assert result_of("""\
+@entry
+def main():
+    return (7 // -2) * 10 + (7 % -2)
+""") == -29
