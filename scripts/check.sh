@@ -15,7 +15,8 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 # Lean gate: no unused import in src/repro, tests, benchmarks,
-# scripts or examples.
+# scripts or examples, and no function or method there that nothing
+# references (outside scripts/lean.py's allowlist).
 python scripts/lean.py
 
 # An explicit -m overrides the addopts default, so exclude both

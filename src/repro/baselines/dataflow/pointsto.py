@@ -72,9 +72,6 @@ class AndersenPointsTo:
     def points_to(self, value: Value) -> Set[Location]:
         return self.pts.get(value, set())
 
-    def contents(self, loc: Location) -> Set[Location]:
-        return self.heap_pts.get(loc, set())
-
     # -- solver ---------------------------------------------------------------------
 
     def _compute(self) -> None:

@@ -24,7 +24,6 @@ from repro.ir.instructions import (
     Ret,
     Select,
     Store,
-    Unreachable,
 )
 from repro.ir.module import BasicBlock, Function
 from repro.ir.types import IRType, I1, I32, I64, F64
@@ -155,9 +154,6 @@ class IRBuilder:
 
     def ret(self, value: Optional[Value] = None) -> Ret:
         return self._insert(Ret(value))
-
-    def unreachable(self) -> Unreachable:
-        return self._insert(Unreachable())
 
     def phi(self, type: IRType, name: str = "") -> Phi:
         """Insert a phi at the start of the current block."""

@@ -8,7 +8,7 @@ memory locations) at analysis time.
 Rule 4 of the paper's confidentiality rules states that a pointer to a
 ``C`` memory location is itself ``C``; we therefore never color a
 :class:`PointerType` directly — a pointer's color is *derived* from
-its pointee (see :func:`pointer_color`).
+its pointee (``pointee.color``).
 
 Types are immutable and hashable so they can be shared freely between
 modules and used as dictionary keys by the analyses.
@@ -88,9 +88,6 @@ class IntType(IRType):
     def size_slots(self) -> int:
         return 1
 
-    def size_bytes(self) -> int:
-        return max(1, self.bits // 8)
-
     def with_color(self, color: Optional[str]) -> "IntType":
         return IntType(self.bits, color)
 
@@ -114,9 +111,6 @@ class FloatType(IRType):
     def size_slots(self) -> int:
         return 1
 
-    def size_bytes(self) -> int:
-        return self.bits // 8
-
     def with_color(self, color: Optional[str]) -> "FloatType":
         return FloatType(self.bits, color)
 
@@ -133,7 +127,7 @@ class PointerType(IRType):
 
     Pointers never carry their own color: per the paper's fourth
     confidentiality rule, the color of a pointer is the color of the
-    memory it points to (see :func:`pointer_color`).
+    memory it points to (``pointee.color``).
     """
 
     def __init__(self, pointee: IRType):
@@ -141,9 +135,6 @@ class PointerType(IRType):
 
     def size_slots(self) -> int:
         return 1
-
-    def size_bytes(self) -> int:
-        return 8
 
     def with_color(self, color: Optional[str]) -> "PointerType":
         if color is not None:
@@ -298,17 +289,6 @@ def register_type(value_type: IRType) -> IRType:
     if isinstance(value_type, PointerType):
         return value_type
     return value_type.strip_color()
-
-
-def pointer_color(ptr_type: IRType) -> Optional[str]:
-    """The color of a pointer, i.e. the color of its pointee.
-
-    Implements the paper's fourth confidentiality rule: *if a pointer p
-    points to a C memory location, p is itself C*.
-    """
-    if not isinstance(ptr_type, PointerType):
-        raise IRError(f"pointer_color applied to non-pointer {ptr_type}")
-    return ptr_type.pointee.color
 
 
 # Common singletons.  These are uncolored; call ``with_color`` to get a

@@ -75,8 +75,8 @@ class Attacker:
 
     * :meth:`scan_for` — sweep unsafe memory for a sensitive value (a
       confidentiality breach if found);
-    * :meth:`corrupt` / :meth:`poison_region` — overwrite unsafe
-      memory to mount Iago-style attacks.
+    * :meth:`corrupt` — overwrite unsafe memory to mount Iago-style
+      attacks.
     """
 
     def __init__(self, machine: Machine):
@@ -122,14 +122,6 @@ class Attacker:
                 f"attacker cannot write {region}", address=addr,
                 mode="normal", region=region)
         self.machine.memory.write(addr, value)
-
-    def poison_region(self, value: object) -> int:
-        """Overwrite every unsafe slot with ``value``; returns how many
-        slots were poisoned."""
-        addrs = self.readable_addresses()
-        for addr in addrs:
-            self.machine.memory.write(addr, value)
-        return len(addrs)
 
     def corrupt_global(self, name: str, value: object) -> None:
         for module in self.machine.modules:
