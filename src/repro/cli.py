@@ -58,8 +58,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--optimize", metavar="POLICY", default=None,
                         help="placement policy for the "
                              "optimize-placement pass: none (default) "
-                             "or kl (Kernighan-Lin boundary "
-                             "refinement)")
+                             "or kl (exempt effect-free chunks from "
+                             "barrier tokens)")
     parser.add_argument("--partition-stats", action="store_true",
                         help="print the per-color partition table "
                              "(chunks, instructions, TCB, boundary "

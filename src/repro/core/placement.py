@@ -1,38 +1,38 @@
-"""Cost-aware partition placement (ROADMAP item 3).
+"""Partition placement: the barrier-exemption rule (paper §7.3.3).
 
 The partitioner places code purely by color: every chunk lives in its
-color's module and every chunk participates in every sync barrier of
-its function.  This module closes the loop between the SGX cost model
-(:mod:`repro.sgx.costmodel`) and placement:
+color's module, and every chunk takes part in every sync barrier of
+its function.  The one placement move this module makes is to let a
+chunk skip those barrier tokens when that is provably safe:
 
 1. :class:`PartitionGraph` — an explicit graph over the protocol the
    :class:`~repro.core.partition.PartitionPlanner` decided on.  Nodes
-   are chunks ``(spec, color)`` with their color constraints
-   (instruction counts, colored-instruction counts, hosted visible
-   effects); edges are the protocol messages between them — ``spawn``,
-   ``value`` (cont) and ``token`` — weighted by the
-   :class:`~repro.sgx.costmodel.CostParams` message cost, with the
-   enclave LLC-miss factor applied to edges that cross an enclave
-   boundary and a static ``8^loop-depth`` execution-frequency
-   estimate.
+   are chunks ``(spec, color)`` with their constraints (hosted visible
+   effects, global stores, loss couplings); edges are the protocol
+   messages between them — ``spawn``, ``value`` (cont) and ``token``.
+   Each edge carries a modeled cost for reporting: the
+   :data:`~repro.sgx.costmodel.MACHINE_A` message cost, the enclave
+   LLC-miss factor on edges that cross an enclave boundary, and a
+   static ``8^loop-depth`` execution-frequency estimate.
 
-2. :class:`PlacementPolicy` — a pluggable decision procedure over the
-   graph.  Policies may only relocate *color-neutral* instructions:
-   the colored instructions of a chunk are pinned to their enclave by
-   the type system, so the only thing a policy can legally move across
-   the cut is protocol code.  Concretely, the shipped policies elide
-   the sync-barrier token participation of chunks that provably host
-   **zero visible effects** (§7.3.3: a token from an effect-free chunk
-   cannot reorder any observable action, so the pair is dead
-   synchronization weight).  Decisions are *pairwise consistent* by
-   construction — the token sender and the waiting receiver both
-   filter by the same per-spec exempt set — and are re-checked by
-   :func:`verify_decisions` before use and :func:`verify_placement`
-   after materialization.
+2. :func:`barrier_exemptions` — the rule.  In ``(spec, color)`` name
+   order, exempt every chunk that sends a barrier token, is
+   :meth:`~PartitionGraph.exemptible` (hosts no visible effect, and
+   its loss stays detected or harmless), and leaves every barrier home
+   it reports to loss-coupled (:meth:`~PartitionGraph.home_coverage_ok`).
+   A token from an effect-free chunk cannot reorder any observable
+   action, so the pair is dead synchronization weight.  Only protocol
+   code moves; colored instructions stay pinned to their enclave.
+   ``tests/core/test_placement_exhaustive.py`` enumerates every legal
+   exemption set of four shipped programs: all behave identically,
+   and the rule's set sends the fewest executed messages of them all.
 
-   * ``none`` — today's color-home placement, bit-identical output.
-   * ``kl`` — Kernighan–Lin-style boundary refinement: iterative
-     gain-ranked moves over the token edges, locking each moved node.
+   Policies: ``none`` (the default) is color-home placement, bit
+   identical to the historical partitioner; ``kl`` applies the rule.
+   Decisions are *pairwise consistent* by construction — the token
+   sender and the waiting receiver both filter by the same per-spec
+   exempt set — and are re-checked by :func:`verify_decisions` before
+   use and :func:`verify_placement` after materialization.
 
 3. Reporting — :func:`partition_stats` (the per-color table behind
    ``repro analyze --partition-stats``) and :func:`placement_report`
@@ -58,7 +58,7 @@ from repro.errors import PlacementError
 from repro.ir.instructions import Call, Instruction, Load, Store
 from repro.ir.module import Function
 from repro.ir.values import GlobalVariable, Value
-from repro.sgx.costmodel import MACHINE_A, CostParams
+from repro.sgx.costmodel import MACHINE_A
 
 #: Static execution-frequency estimate: each loop level multiplies
 #: expected executions by this factor (capped, so deeply nested CFGs
@@ -76,11 +76,6 @@ class ChunkNode:
 
     spec: str
     color: str
-    #: instructions kept in this chunk before DCE
-    instructions: int = 0
-    #: instructions *colored* with this chunk's color — the
-    #: secret-typed code the type system pins here
-    colored_instructions: int = 0
     #: visible effects (§7.3.3) whose barrier home is this chunk;
     #: a nonzero count pins the node as a barrier participant
     effects: int = 0
@@ -131,16 +126,14 @@ class PartitionGraph:
     """Protocol graph over a planned (not yet materialized) partition.
 
     Built from the exact :class:`~repro.core.partition.SpecPlan`
-    decisions the partitioner will materialize, so what a policy
-    optimizes is what the runtime will actually send.
+    decisions the partitioner will materialize, so what the rule
+    decides on is what the runtime will actually send.
     """
 
     def __init__(self, analysis: AnalysisResult,
-                 planner: PartitionPlanner,
-                 params: Optional[CostParams] = None):
+                 planner: PartitionPlanner):
         self.analysis = analysis
         self.planner = planner.plan()
-        self.params = params if params is not None else MACHINE_A
         self.untrusted = analysis.untrusted
         self.nodes: Dict[tuple, ChunkNode] = {}
         self.edges: List[FlowEdge] = []
@@ -154,7 +147,7 @@ class PartitionGraph:
         """Modeled cycles for ``count`` messages on ``src -> dst``: the
         lock-free FIFO push/pop plus the memory-encryption surcharge on
         the cache-line transfer when either endpoint is an enclave."""
-        p = self.params
+        p = MACHINE_A
         per_message = p.privagic_message_cycles
         crosses = is_named(src) or is_named(dst)
         if crosses:
@@ -215,12 +208,8 @@ class PartitionGraph:
             for instr in plan.fa.fn.instructions():
                 for chunk in plan.chunks:
                     if planner._kept_in_chunk(plan, instr, chunk):
-                        node = self.nodes[(spec, chunk)]
-                        node.instructions += 1
-                        self._note_memory(node, instr)
-                color = plan.fa.inst_colors.get(instr)
-                if color is not None and (spec, color) in self.nodes:
-                    self.nodes[(spec, color)].colored_instructions += 1
+                        self._note_memory(self.nodes[(spec, chunk)],
+                                          instr)
                 if planner._is_visible_effect(plan, instr):
                     home = planner._barrier_home(plan, instr)
                     node = self.nodes.get((spec, home))
@@ -328,19 +317,8 @@ class PartitionGraph:
 
     # -- queries ---------------------------------------------------------------
 
-    def specs(self) -> List[str]:
-        return sorted({spec for spec, _ in self.nodes})
-
     def node(self, spec: str, color: str) -> Optional[ChunkNode]:
         return self.nodes.get((spec, color))
-
-    def spec_nodes(self, spec: str) -> List[ChunkNode]:
-        return [node for (s, _), node in sorted(self.nodes.items())
-                if s == spec]
-
-    def token_edges_from(self, spec: str, color: str) -> List[FlowEdge]:
-        return [e for e in self.edges
-                if e.spec == spec and e.kind == "token" and e.src == color]
 
     def message_totals(self) -> Dict[str, float]:
         totals: Dict[str, float] = {"spawn": 0.0, "value": 0.0,
@@ -350,30 +328,27 @@ class PartitionGraph:
         totals["total"] = sum(totals.values())
         return totals
 
+    def _sent_edges(self, decisions: Optional["PlacementDecisions"]):
+        """The edges still sent once ``decisions`` elide their token
+        edges (all edges when ``decisions`` is None)."""
+        for edge in self.edges:
+            if decisions is None or edge.kind != "token" or \
+                    edge.src not in decisions.barrier_exempt_chunks(
+                        edge.spec):
+                yield edge
+
     def modeled_cost(self, decisions: Optional["PlacementDecisions"]
                      = None) -> float:
         """Total modeled cycles of the protocol traffic, with the
         token edges a decision set elides removed."""
-        total = 0.0
-        for edge in self.edges:
-            if decisions is not None and edge.kind == "token" and \
-                    edge.src in decisions.barrier_exempt_chunks(edge.spec):
-                continue
-            total += edge.cycles
-        return total
+        return sum((edge.cycles for edge in self._sent_edges(decisions)),
+                   0.0)
 
     def cross_enclave_count(self, decisions: Optional["PlacementDecisions"]
                             = None) -> float:
         """Estimated messages that cross an enclave boundary."""
-        total = 0.0
-        for edge in self.edges:
-            if not edge.crosses_enclave:
-                continue
-            if decisions is not None and edge.kind == "token" and \
-                    edge.src in decisions.barrier_exempt_chunks(edge.spec):
-                continue
-            total += edge.count
-        return total
+        return sum((edge.count for edge in self._sent_edges(decisions)
+                    if edge.crosses_enclave), 0.0)
 
     # -- loss coupling (the chaos-contract side conditions) --------------------
 
@@ -453,8 +428,6 @@ class PlacementDecisions:
 
     policy: str = "none"
     barrier_exempt: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-    #: modeled cycles the decisions save (policy-estimated)
-    gain_cycles: float = 0.0
 
     def barrier_exempt_chunks(self, spec: str) -> FrozenSet[str]:
         return self.barrier_exempt.get(spec, frozenset())
@@ -468,110 +441,40 @@ class PlacementDecisions:
             "policy": self.policy,
             "barrier_exempt": {spec: sorted(chunks) for spec, chunks
                                in sorted(self.barrier_exempt.items())},
-            "gain_cycles": round(self.gain_cycles, 1),
             "moves": self.moves,
         }
 
 
-# == policies ==================================================================
-
-
-class PlacementPolicy:
-    """Decision procedure over a :class:`PartitionGraph`.
-
-    The contract: a policy may only affect *color-neutral* protocol
-    instructions.  Colored (secret-typed) instructions never change
-    modules — :func:`verify_decisions` and :func:`verify_placement`
-    re-check this after every policy run.
-    """
-
-    name = "?"
-
-    def decide(self, graph: PartitionGraph) -> PlacementDecisions:
-        raise NotImplementedError
-
-
-class NonePolicy(PlacementPolicy):
-    """Color-home placement: exactly the historical partitioner."""
-
-    name = "none"
-
-    def decide(self, graph: PartitionGraph) -> PlacementDecisions:
-        return PlacementDecisions(policy=self.name)
-
-
-class KLPolicy(PlacementPolicy):
-    """Kernighan–Lin-style boundary refinement over the token edges.
-
-    Per spec, repeatedly pick the unlocked, exemptible chunk whose
-    move (dropping its barrier participation out of the cross-enclave
-    cut) has the highest positive gain, apply it, lock it, and
-    recompute — stopping when no positive-gain move remains.  A move
-    is legal only when it keeps the chaos differential contract:
-    the chunk must be effect-free *and* loss-coupled-or-harmless
-    (:meth:`PartitionGraph.exemptible`), and every barrier home it
-    reports to must stay loss-coupled
-    (:meth:`PartitionGraph.home_coverage_ok`).
-    """
-
-    name = "kl"
-
-    def decide(self, graph: PartitionGraph) -> PlacementDecisions:
-        exempt: Dict[str, Set[str]] = {}
-        total_gain = 0.0
-        for spec in graph.specs():
-            locked: Set[str] = set()
-            while True:
-                best: Optional[ChunkNode] = None
-                best_gain = 0.0
-                for node in graph.spec_nodes(spec):
-                    if node.color in locked or \
-                            not graph.exemptible(node):
-                        continue
-                    tentative = exempt.get(spec, set()) | {node.color}
-                    edges = graph.token_edges_from(spec, node.color)
-                    if not all(graph.home_coverage_ok(spec, home,
-                                                      tentative)
-                               for home in {e.dst for e in edges}):
-                        continue
-                    gain = sum(e.cycles for e in edges)
-                    if gain > best_gain:
-                        best, best_gain = node, gain
-                if best is None:
-                    break
-                exempt.setdefault(spec, set()).add(best.color)
-                locked.add(best.color)
-                total_gain += best_gain
-        decisions = PlacementDecisions(
-            policy=self.name,
-            barrier_exempt={spec: frozenset(chunks)
-                            for spec, chunks in exempt.items()},
-            gain_cycles=total_gain)
-        verify_decisions(graph, decisions)
-        return decisions
+# == the rule ==================================================================
 
 
 POLICIES = ("none", "kl")
 
 
-def policy_by_name(name: str) -> PlacementPolicy:
-    """Look up a placement policy by name.
+def barrier_exemptions(graph: PartitionGraph) -> Dict[str, FrozenSet[str]]:
+    """The ``kl`` placement: per spec, the chunks that skip the
+    barrier tokens.
 
-    Unknown names raise a :class:`~repro.errors.PlacementError` with a
-    did-you-mean hint and the valid choices (mirrors
-    :func:`repro.workloads.ycsb.workload_by_name`).
+    Walks the chunks in ``(spec, color)`` name order and exempts each
+    one that sends at least one token, is
+    :meth:`~PartitionGraph.exemptible`, and leaves every barrier home
+    it reports to loss-coupled
+    (:meth:`~PartitionGraph.home_coverage_ok`) given the chunks
+    already exempted.
     """
-    normalized = name.strip().lower()
-    if normalized == "none":
-        return NonePolicy()
-    if normalized == "kl":
-        return KLPolicy()
-    close = difflib.get_close_matches(normalized, POLICIES, n=1,
-                                      cutoff=0.4)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    raise PlacementError(
-        f"unknown placement policy {name!r}{hint} "
-        f"(choose from: {', '.join(POLICIES)})")
+    homes: Dict[tuple, Set[str]] = {}
+    for edge in graph.edges:
+        if edge.kind == "token":
+            homes.setdefault((edge.spec, edge.src), set()).add(edge.dst)
+    exempt: Dict[str, FrozenSet[str]] = {}
+    for (spec, color), node in sorted(graph.nodes.items()):
+        if (spec, color) not in homes or not graph.exemptible(node):
+            continue
+        tentative = exempt.get(spec, frozenset()) | {color}
+        if all(graph.home_coverage_ok(spec, home, tentative)
+               for home in homes[(spec, color)]):
+            exempt[spec] = tentative
+    return exempt
 
 
 # == verification ==============================================================
@@ -579,7 +482,7 @@ def policy_by_name(name: str) -> PlacementPolicy:
 
 def verify_decisions(graph: PartitionGraph,
                      decisions: PlacementDecisions) -> None:
-    """Re-check a policy's decisions against the color constraints.
+    """Re-check placement decisions against the color constraints.
 
     * every exempted chunk must exist in its spec's plan;
     * an exempted chunk must host **zero** visible effects — its token
@@ -631,10 +534,13 @@ def verify_placement(program: PartitionedProgram) -> None:
     never left its enclave.
 
     * every chunk function lives in the module of its color;
+    * colored globals are placed only in their own enclave module;
     * no module loads or stores through another enclave's colored
-      global (untrusted/shared globals are exempt);
-    * colored globals are placed only in their own enclave module.
+      global (the :func:`repro.secval.audit.confinement_violations`
+      census; untrusted/shared globals are exempt).
     """
+    from repro.secval.audit import confinement_violations
+
     for name, color in program.chunk_colors.items():
         module = program.modules.get(color)
         if module is None or name not in module.functions:
@@ -648,35 +554,42 @@ def verify_placement(program: PartitionedProgram) -> None:
                 raise PlacementError(
                     f"{home}-colored global @{gv.name} placed in "
                     f"module {color}")
-        for fn in module.defined_functions():
-            for instr in fn.instructions():
-                if not isinstance(instr, (Load, Store)):
-                    continue
-                pointer = instr.ptr
-                if not isinstance(pointer, GlobalVariable):
-                    continue
-                home = location_color(pointer.value_type, program.mode)
-                if is_named(home) and home != color:
-                    raise PlacementError(
-                        f"module {color} accesses {home}-colored "
-                        f"global @{pointer.name} in {fn.name} — "
-                        f"secret-typed code was relocated")
+    violations = confinement_violations(program)
+    if violations:
+        color, kind, name = violations[0]
+        raise PlacementError(
+            f"module {color} has a {kind} of the colored global "
+            f"@{name} outside its enclave — secret-typed code was "
+            f"relocated")
 
 
 # == driver ====================================================================
 
 
 def optimize_placement(analysis: AnalysisResult, policy: str = "none",
-                       params: Optional[CostParams] = None, cache=None):
-    """Plan the partition, build the graph, run one policy.
+                       cache=None):
+    """Plan the partition, build the graph, apply one policy.
 
     Returns ``(planner, graph, decisions)`` — the planner is shared
     with the subsequent partition pass so protocol decisions are
-    computed once.
+    computed once.  Unknown policy names raise a
+    :class:`~repro.errors.PlacementError` with a did-you-mean hint and
+    the valid choices (mirrors
+    :func:`repro.workloads.ycsb.workload_by_name`).
     """
+    name = policy.strip().lower()
+    if name not in POLICIES:
+        close = difflib.get_close_matches(name, POLICIES, n=1,
+                                          cutoff=0.4)
+        hint = f"; did you mean {close[0]!r}?" if close else ""
+        raise PlacementError(
+            f"unknown placement policy {policy!r}{hint} "
+            f"(choose from: {', '.join(POLICIES)})")
     planner = PartitionPlanner(analysis, cache=cache).plan()
-    graph = PartitionGraph(analysis, planner, params)
-    decisions = policy_by_name(policy).decide(graph)
+    graph = PartitionGraph(analysis, planner)
+    decisions = PlacementDecisions(
+        policy=name,
+        barrier_exempt=barrier_exemptions(graph) if name == "kl" else {})
     verify_decisions(graph, decisions)
     return planner, graph, decisions
 

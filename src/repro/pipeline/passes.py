@@ -132,12 +132,12 @@ class SecureTypeAnalysisPass(Pass):
 
 
 class OptimizePlacementPass(Pass):
-    """Cost-aware placement optimization (ROADMAP item 3): build the
-    partition graph over the planner's protocol decisions, run the
-    selected :class:`~repro.core.placement.PlacementPolicy`, and
-    deposit the shared planner plus the verified decisions for the
-    ``partition`` pass.  A no-op with the default ``none`` policy, so
-    pipelines that never opt in stay bit-identical."""
+    """Placement (ROADMAP item 13): build the partition graph over the
+    planner's protocol decisions, apply the selected policy
+    (:func:`~repro.core.placement.optimize_placement`), and deposit the
+    shared planner plus the verified decisions for the ``partition``
+    pass.  A no-op with the default ``none`` policy, so pipelines that
+    never opt in stay bit-identical."""
 
     name = "optimize-placement"
     preserves_cfg = True
@@ -160,9 +160,7 @@ class OptimizePlacementPass(Pass):
             optimize_placement(ctx.analysis, policy, cache=ctx.cache)
         ctx.placement_report = placement_report(ctx.placement_graph,
                                                 ctx.placement)
-        return {"placement_moves": ctx.placement.moves,
-                "placement_gain_cycles": round(
-                    ctx.placement.gain_cycles, 1)}
+        return {"placement_moves": ctx.placement.moves}
 
 
 class PartitionPass(Pass):

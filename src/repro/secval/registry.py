@@ -85,7 +85,7 @@ def frontend_by_name(name: str) -> Frontend:
 
     Unknown names raise a :class:`~repro.errors.FrontendError` with a
     did-you-mean hint and the valid choices (mirrors
-    :func:`repro.core.placement.policy_by_name`).
+    :func:`repro.core.placement.optimize_placement`).
     """
     normalized = name.strip().lower()
     frontend = FRONTENDS.get(normalized)

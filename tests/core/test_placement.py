@@ -1,5 +1,5 @@
-"""The placement layer: partition graph, policies, verifiers and the
-differential safety rail.
+"""The placement layer: partition graph, the exemption rule, verifiers
+and the differential safety rail.
 
 The invariant under test everywhere: a placement policy may only touch
 color-neutral protocol instructions (barrier tokens).  Secret-typed
@@ -12,24 +12,19 @@ import pytest
 from repro.core.colors import RELAXED
 from repro.core.compiler import PrivagicCompiler
 from repro.core.placement import (
-    KLPolicy,
-    NonePolicy,
     PlacementDecisions,
     format_partition_stats,
     optimize_placement,
     partition_stats,
-    policy_by_name,
     verify_decisions,
     verify_placement,
 )
-from repro.core.analysis import location_color
-from repro.core.colors import is_named
 from repro.errors import PlacementError
-from repro.ir.instructions import Call, Load, Store
+from repro.ir.instructions import Call, Load
 from repro.ir.interp import ENGINES
 from repro.ir.module import Function
-from repro.ir.values import GlobalVariable
 from repro.runtime import run_partitioned
+from repro.secval import colored_accesses
 
 #: The paper's Figure 6 running example: g@blue and g@red host no
 #: visible effects (the printf's barrier home is the untrusted
@@ -81,7 +76,7 @@ def kl_arm():
 
 def test_graph_nodes_carry_color_constraints(kl_arm):
     graph = kl_arm[0].context.placement_graph
-    assert graph.specs()
+    assert graph.nodes
     pinned = [node for node in graph.nodes.values() if node.pinned]
     movable = [node for node in graph.nodes.values() if not node.pinned]
     # fig7 has both: the untrusted chunk hosts the printf (pinned),
@@ -107,16 +102,19 @@ def test_enclave_edges_cost_more_than_untrusted_ones(kl_arm):
 # -- policy lookup -------------------------------------------------------------
 
 
-def test_policy_by_name_resolves_each_policy():
-    assert isinstance(policy_by_name("none"), NonePolicy)
-    assert isinstance(policy_by_name(" KL "), KLPolicy)
+def test_policy_names_are_normalized(none_arm):
+    analysis = none_arm[0].analysis
+    assert optimize_placement(analysis, "none")[2].moves == 0
+    decisions = optimize_placement(analysis, " KL ")[2]
+    assert decisions.policy == "kl" and decisions.moves > 0
 
 
-def test_unknown_policy_gets_a_did_you_mean_hint():
+def test_unknown_policy_gets_a_did_you_mean_hint(none_arm):
+    analysis = none_arm[0].analysis
     with pytest.raises(PlacementError, match="did you mean 'kl'"):
-        policy_by_name("k1")
+        optimize_placement(analysis, "k1")
     with pytest.raises(PlacementError, match="choose from: none, kl"):
-        policy_by_name("simulated-annealing")
+        optimize_placement(analysis, "simulated-annealing")
 
 
 # -- the none policy is bit-identical ------------------------------------------
@@ -160,25 +158,6 @@ def test_kl_cuts_messages_20pct_with_identical_behavior(none_arm,
             f"{engine}: kl reduced messages only {reduction:.1f}%")
 
 
-def _colored_accesses(program):
-    """Every load/store through a colored global, tagged with the
-    module it lives in — the footprint of the secret-typed code."""
-    accesses = []
-    for color, module in sorted(program.modules.items()):
-        for fn in module.defined_functions():
-            for instr in fn.instructions():
-                if not isinstance(instr, (Load, Store)):
-                    continue
-                pointer = instr.ptr
-                if not isinstance(pointer, GlobalVariable):
-                    continue
-                home = location_color(pointer.value_type, program.mode)
-                if is_named(home):
-                    accesses.append((color, type(instr).__name__,
-                                     pointer.name))
-    return sorted(accesses)
-
-
 def _census(program):
     """Per-module instruction counts, split into barrier-token calls
     and everything else."""
@@ -201,7 +180,7 @@ def test_secret_typed_code_is_never_relocated(none_arm, kl_arm):
     only per-module instruction delta is elided barrier tokens."""
     _, baseline = none_arm
     _, optimized = kl_arm
-    assert _colored_accesses(optimized) == _colored_accesses(baseline)
+    assert colored_accesses(optimized) == colored_accesses(baseline)
     base_tokens, base_others = _census(baseline)
     opt_tokens, opt_others = _census(optimized)
     assert opt_others == base_others
@@ -210,6 +189,19 @@ def test_secret_typed_code_is_never_relocated(none_arm, kl_arm):
         assert count <= base_tokens.get(color, 0)
     verify_placement(optimized)
     verify_placement(baseline)
+
+
+def test_verify_placement_rejects_an_escaped_colored_access():
+    """Negative control: an untrusted module that loads a blue global
+    breaks confinement, and verify_placement must say so."""
+    _, program = _compile()
+    blue_g = program.modules["blue"].globals["blue_g"]
+    main = program.modules[program.untrusted].functions["main"]
+    main.blocks[0].insert(0, Load(blue_g, "leak"))
+    with pytest.raises(PlacementError,
+                       match=f"module {program.untrusted} has a Load of "
+                             f"the colored global @blue_g outside"):
+        verify_placement(program)
 
 
 # -- decision verification -----------------------------------------------------

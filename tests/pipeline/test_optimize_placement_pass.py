@@ -60,8 +60,7 @@ def test_kl_run_populates_the_placement_context():
     assert ctx.placement_graph is not None
     assert ctx.placement_report["policy"] == "kl"
     stats = _pass_stats(ctx, "optimize-placement")
-    assert stats["placement_moves"] == ctx.placement.moves
-    assert stats["placement_gain_cycles"] > 0
+    assert stats == {"placement_moves": ctx.placement.moves}
     # The shared planner: partition must reuse the planned protocol
     # the graph was built from.
     assert ctx.planner is not None
