@@ -1,4 +1,4 @@
-"""Partition-quality report — what the kl placement policy buys.
+"""Partition-quality report — what the kl placement rule buys.
 
 For three workloads — the paper's Figure 6/7 running example
 (relaxed), the minicache application (hardened, ``run_cache(50)``)
@@ -23,11 +23,12 @@ interpreter engines (decoded / legacy) — a placement that
 changes observable behavior is a bug, not an optimization.
 
 Results go to ``BENCH_partition.json`` at the repo root (smoke mode:
-``BENCH_partition.smoke.json``), which ``scripts/check.sh`` gates on:
-``kl`` must never model worse than ``none``, and the best measured
-message reduction must clear the 20% bar.
+``BENCH_partition.smoke.json``, with the report only printed, so the
+committed ``benchmarks/results/partition_quality.txt`` keeps the full
+run).  ``scripts/check.sh`` runs the smoke and gates on its exact
+counts and on the best measured message reduction clearing 20%.
 
-Regenerate the committed file with
+Regenerate the committed files with
 ``PYTHONPATH=src python benchmarks/bench_partition.py``.
 """
 
@@ -41,7 +42,7 @@ import pytest
 
 from repro.apps.minicache.minic_source import (DECLASSIFY_EXTERNALS,
                                                FULL_ANNOTATED)
-from repro.bench import Report
+from repro.bench import Report, publish
 from repro.core.colors import HARDENED, RELAXED
 from repro.core.compiler import PrivagicCompiler
 from repro.ir.interp import ENGINES
@@ -159,7 +160,6 @@ def _measure_workload(name, mode, source, run_fn):
             "modeled_cost_cycles": report["modeled_cost_cycles"][policy],
             "static_messages": report["static_messages"],
             "moves": report["decisions"]["moves"],
-            "gain_cycles": report["decisions"]["gain_cycles"],
         }
     none = arms["none"]
     reductions = {}
@@ -270,14 +270,11 @@ def regenerate_partition_report() -> Report:
 
 
 def bench_partition(benchmark):
-    report = benchmark(regenerate_partition_report)
-    report.write()
+    publish(benchmark(regenerate_partition_report))
 
 
 if __name__ == "__main__":
     if "--smoke" in sys.argv and not SMOKE:
         os.environ["REPRO_BENCH_SMOKE"] = "1"
         os.execv(sys.executable, [sys.executable, __file__])
-    report = regenerate_partition_report()
-    report.write()
-    print(report.text())
+    publish(regenerate_partition_report())

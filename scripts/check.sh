@@ -381,30 +381,40 @@ print(f"bench gate: sharded @16 clients {best16} > single "
       f"{single16} ops/s; 8 shards @64 clients {gate}x OK")
 PYEOF
 
-# BENCH_partition regression gate: the committed partition-quality
-# report must keep the optimizer honest — modeled cost never above
-# the unoptimized baseline on any workload, and the best measured
-# message reduction (fig7/minicache, kl arm) at or above 20%.
+# BENCH_partition smoke gate: a fresh smoke-scale run of the
+# partition-quality benchmark (it asserts by itself that every arm
+# behaves byte-identically on both engines).  Messages, TCB
+# instructions, modeled cycles and moves are exact counts, so each
+# none/kl arm must match them exactly (a change means the protocol,
+# the partition or the placement rule changed), and the best measured
+# kl message reduction on fig7/minicache must stay at or above 20%.
+REPRO_BENCH_SMOKE=1 python benchmarks/bench_partition.py > /dev/null
 python - <<'PYEOF'
 import json
 
-with open("BENCH_partition.json") as handle:
+#: workload -> policy -> (messages, tcb instructions, modeled cycles,
+#: moves)
+EXPECTED = {
+    "fig7": {"none": (9, 15, 16200.0, 0), "kl": (7, 13, 12600.0, 2)},
+    "minicache": {"none": (682, 162, 122400.0, 0),
+                  "kl": (500, 154, 108000.0, 4)},
+    "served_kv": {"none": (126, 116, 61200.0, 0),
+                  "kl": (115, 114, 57600.0, 2)},
+}
+with open("BENCH_partition.smoke.json") as handle:
     workloads = json.load(handle)["workloads"]
-best = 0.0
-for name, workload in workloads.items():
-    arms = workload["policies"]
-    none = arms["none"]
-    for policy in ("kl",):
-        arm = arms[policy]
-        assert arm["modeled_cost_cycles"] <= none["modeled_cost_cycles"], \
-            f"{name}/{policy}: modeled cost regressed vs none"
-    assert workload["differential"]["identical"], \
-        f"{name}: optimized arms were not byte-identical to none"
-    if name in ("fig7", "minicache"):
-        best = max(best,
-                   workload["reduction_vs_none"]["kl"]["messages_pct"])
+for name, arms in EXPECTED.items():
+    for policy, expected in arms.items():
+        arm = workloads[name]["policies"][policy]
+        counts = (arm["messages"], arm["tcb_instructions"],
+                  arm["modeled_cost_cycles"], arm["moves"])
+        assert counts == expected, \
+            f"partition smoke {name}/{policy}: {counts} != {expected}"
+best = max(workloads[name]["reduction_vs_none"]["kl"]["messages_pct"]
+           for name in ("fig7", "minicache"))
 assert best >= 20.0, \
     f"best kl message reduction below 20%: {best:.1f}%"
-print(f"bench gate: partition quality OK "
-      f"(best kl message reduction {best:.1f}%)")
+print(f"bench smoke gate: partition counts exact, best kl message "
+      f"reduction {best:.1f}% OK")
 PYEOF
+rm -f BENCH_partition.smoke.json
