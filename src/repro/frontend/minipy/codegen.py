@@ -158,9 +158,10 @@ class CodeGenerator(Lowering):
         if slot is None:
             raise FrontendError(f"undefined variable {stmt.target!r}",
                                 stmt.line, stmt.column)
+        # Python loads the target of ``x op= e`` before evaluating e.
+        old = self.builder.load(slot) if stmt.op is not None else None
         value, = self._gen_operands(stmt, stmt.value)
-        if stmt.op is not None:
-            old = self.builder.load(slot)
+        if old is not None:
             value = self.builder.binop(
                 _ARITH_MAP[stmt.op],
                 self._coerce(old, I64, stmt),

@@ -134,6 +134,23 @@ def main():
 """) == 7
 
 
+def test_augmented_assignment_loads_the_target_first():
+    # As in Python, `g += bump()` reads g (1) before bump() sets it to
+    # 10, so the sum is 1 + 0.
+    assert result_of("""\
+g = public(1)
+
+def bump():
+    g = 10
+    return 0
+
+@entry
+def main():
+    g += bump()
+    return g
+""") == 1
+
+
 def test_all_engines_agree_on_a_secure_program():
     source = """\
 secret = secure("blue", 41)
