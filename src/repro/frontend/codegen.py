@@ -183,6 +183,11 @@ class CodeGenerator(Lowering):
 
     def _constant_initializer(self, expr: ast.Expr,
                               vtype: IRType) -> Constant:
+        if isinstance(expr, ast.StringLiteral) and \
+                not isinstance(vtype, ArrayType):
+            raise FrontendError(
+                "a string literal can only initialize a global char "
+                "array (char name[N] = \"...\")", expr.line, expr.column)
         if isinstance(expr, (ast.IntLiteral, ast.FloatLiteral,
                              ast.StringLiteral)):
             return Constant(vtype, expr.value)

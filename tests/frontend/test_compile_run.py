@@ -194,6 +194,19 @@ def test_parse_error_reports_position():
         compile_source("int main( { return 0; }")
 
 
+def test_global_char_pointer_string_initializer_is_rejected():
+    # A pointer global has one slot; the string's characters would be
+    # written past it at load.
+    source = """
+        char *banner = "hello";
+        int main() { return 0; }
+    """
+    with pytest.raises(FrontendError,
+                       match=r"^2:\d+: a string literal can only "
+                             r"initialize a global char array"):
+        compile_source(source)
+
+
 def test_do_while_and_ternary():
     result, _ = run("""
         int main() {
