@@ -68,7 +68,7 @@ class CodeGenerator(Lowering):
     """Generates one IR module from one translation unit."""
 
     language = "minic"
-    policy = LoweringPolicy(bool_widening="sext", truth_type=None)
+    policy = LoweringPolicy(truth_type=None)
     parse = staticmethod(parse)
 
     # -- entry point --------------------------------------------------------------

@@ -50,10 +50,6 @@ CMP_PREDICATES = {"==": "eq", "!=": "ne", "<": "slt", "<=": "sle",
 class LoweringPolicy(NamedTuple):
     """The per-language choices of the shared lowering."""
 
-    #: The cast that widens an ``i1``: ``"sext"`` (MiniC, as in the
-    #: IR of minicache and the served KV) or ``"zext"`` (MiniPy, so
-    #: ``True`` is 1).
-    bool_widening: str
     #: The type a non-``i1`` integer is widened to before it is
     #: compared with 0, or None to compare at its own width.
     truth_type: Optional[IntType]
@@ -379,7 +375,7 @@ class Lowering:
             if from_type.bits > to_type.bits:
                 kind = "trunc"
             elif from_type.bits == 1:
-                kind = self.policy.bool_widening
+                kind = "zext"  # a true comparison widens to 1
             else:
                 kind = "sext"
             return self.builder.cast(kind, value, to_type.strip_color())

@@ -57,7 +57,7 @@ class CodeGenerator(Lowering):
     """Generates one IR module from one MiniPy program."""
 
     language = "minipy"
-    policy = LoweringPolicy(bool_widening="zext", truth_type=I64)
+    policy = LoweringPolicy(truth_type=I64)
     parse = staticmethod(parse)
 
     # -- entry point --------------------------------------------------------------

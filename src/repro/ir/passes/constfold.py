@@ -73,7 +73,8 @@ def _try_fold(instr):
                 else instr.false_value
         return None
     if isinstance(instr, Cast):
-        convert = cast_function(instr.kind, int_width(instr.to_type))
+        convert = cast_function(instr.kind, int_width(instr.value.type),
+                                int_width(instr.to_type))
         value = instr.value
         if convert is not None and isinstance(value, Constant) and \
                 isinstance(value.value, (int, float)):

@@ -174,8 +174,8 @@ def test_comparison(predicate):
 #: cast kind -> (source type, destination type, source values)
 CASTS = {
     "trunc": [(I64, I8, INT_VALUES), (I64, I32, INT_VALUES)],
-    "zext": [(I8, I64, INT_VALUES)],
-    "sext": [(I32, I64, INT_VALUES)],
+    "zext": [(I8, I64, INT_VALUES), (I1, I64, [0, 1])],
+    "sext": [(I32, I64, INT_VALUES), (I1, I64, [0, 1])],
     "fptosi": [(F64, I64, FPTOSI_VALUES), (F64, I8, FPTOSI_VALUES)],
     "sitofp": [(I64, F64, INT_VALUES)],
     "bitcast": [(PointerType(I64), PointerType(I8), [0, 4096])],
@@ -243,3 +243,27 @@ def test_fptosi_faults_outside_the_destination_range():
         assert outcomes[repr(-2.0 ** 63)] == repr(INT64_MIN)
         assert outcomes["-1.5"] == "-1"
         assert outcomes["9.2e+18"] == repr(int(9.2e18))
+
+
+@pytest.mark.parametrize("kind, source, value, expected", [
+    ("sext", I1, 1, -1), ("sext", I1, 0, 0), ("sext", I8, -1, -1),
+    ("sext", I32, 1 << 31, -(1 << 31)), ("zext", I1, 1, 1),
+    ("zext", I8, -1, 255), ("zext", I32, -1, (1 << 32) - 1),
+])
+def test_extension_reads_the_source_width(kind, source, value,
+                                          expected):
+    """sext reinterprets the source bits as signed and zext as
+    unsigned, on both engines and in constant folding: ``sext i1
+    true`` is -1, ``zext i8 -1`` is 255."""
+    module = Module("ext")
+    _add(module, "r", I64, [source],
+         lambda b, args: b.cast(kind, args[0], I64))
+    _add(module, "c", I64, [],
+         lambda b, args: b.cast(kind, Constant(source, value), I64))
+    for engine in ENGINES:
+        machine = Machine(module, engine=engine)
+        assert _outcome(machine, "r", [value])[0] == repr(expected)
+        assert _outcome(machine, "c", [])[0] == repr(expected)
+    constant_fold(module)
+    folded = module.functions["c"].blocks[0].instructions[-1].value
+    assert folded.value == expected

@@ -42,7 +42,7 @@ def read(*parts) -> str:
 FIG7_RELAXED_DIGEST = \
     "324f3c0567ecaffb9dafc7e28c4c114d120c80a2159746a73ed2175db269709d"
 MINICACHE_HARDENED_DIGEST = \
-    "933a47697ff5af0bab1247936091e03c79fbe92d07a16de57d67d458b8de15fc"
+    "d5189844728ffa7e1eb79bc6c0b2bfde3f00084df24a0b6c083b0af20d364fc8"
 
 #: Partition digests of examples/secure_counter.mpy, per mode.
 SECURE_COUNTER_DIGESTS = {
@@ -70,19 +70,19 @@ FRONTEND_PROGRAMS = {
 }
 FRONTEND_DIGESTS = {
     "corpus/lowering.c":
-    "184d807b6e473f7dc42e10718aea74d696b4e69f36cc0df145552f7dd81f9b2e",
+    "dda2af253e9f11f4a83e3e1490961d62d28a1c446dc2eb68479c11e667a081c4",
     "corpus/lowering.mpy":
     "0f254fd5288668b469b5c39839dbb8393b5943d4006f059842aa36d49dd6efe0",
     "fig7.c":
     "c7903899675a1118735bd92b6b08f52ec89934866d74786b2e7d120cccf1cb53",
     "minicache":
-    "008292e1554127400c3e5b27d80c8de27ca8b835358615a07dc24c4669bf3ffb",
+    "7c80681aac9d8cfe1930f0240ede697c86ecc2b78daef2031ffa93b6ed40047e",
     "minicache_full":
-    "67389966fff4d3b5e620a54814e1f8a4b5d039c640fa57cdb4c1879a6cde35fe",
+    "4358d427dda6c274be6e142be2fd0d39e7dbff8f4e9339eeeabe7f85220ddc1d",
     "secure_counter.mpy":
     "9505604aecf105438007e0d40062c055b801a22cc2e928d67c0eedb048d4f42e",
     "secure_kv":
-    "7f532f632f2d36e042cee300783dd76ac0cb849704f482476cc534242d5047da",
+    "2357666fda1b537004cfa50987f3ac42ed6162faeb666e08980dbce588352543",
     "vault.c":
     "eb537774fd56d57b4b10a745d540a4aa5fac89bccacae28f326e2831e4864eb4",
 }
