@@ -32,7 +32,8 @@ import sys
 
 import pytest
 
-from repro.bench import Report, capture_trace, measure, publish, speedup
+from repro.bench import (Report, call_counts, capture_trace, measure,
+                         publish, speedup)
 from repro.core.colors import RELAXED
 from repro.core.compiler import compile_and_partition
 from repro.frontend import compile_source
@@ -172,6 +173,12 @@ def run_dispatch_comparison(repeat: int = 7):
         entry = {engine: t.as_dict() for engine, t in timings.items()}
         entry["speedup"] = round(speedup(timings["legacy"],
                                          timings["decoded"]), 2)
+        # Exact work next to the timing: one more (warm) decoded run,
+        # call-counted.  Unlike steps/s it does not move with the host.
+        counted = call_counts(make("decoded"))
+        entry["decoded_calls"] = counted["total"]
+        entry["decoded_calls_per_step"] = round(
+            counted["total"] / counted["result"], 3)
         results["workloads"][name] = entry
     return results
 
@@ -202,9 +209,11 @@ def regenerate_dispatch_report() -> Report:
                      entry["legacy"]["steps"],
                      entry["legacy"]["steps_per_sec"],
                      entry["decoded"]["steps_per_sec"],
-                     f"{entry['speedup']:.2f}x"))
+                     f"{entry['speedup']:.2f}x",
+                     entry["decoded_calls_per_step"]))
     report.table(("workload", "steps", "legacy steps/s",
-                  "decoded steps/s", "decoded x"), rows)
+                  "decoded steps/s", "decoded x",
+                  "decoded calls/step"), rows)
     report.add()
     fig7 = results["workloads"]["fig7"]["speedup"]
     proto = results["workloads"]["fig7_protocol"]["speedup"]

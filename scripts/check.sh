@@ -24,7 +24,9 @@ python scripts/lean.py
 python -m pytest -x -q -m "not slow and not chaos" "$@"
 REPRO_BENCH_SMOKE=1 python benchmarks/bench_interp_dispatch.py
 # BENCH_interp smoke gate: the decoded/legacy step-rate ratio just
-# measured must clear a floor per workload.  A ratio carries across
+# measured must clear a floor per workload, and the decoded engine's
+# exact Python calls per step (repro.bench.call_counts, Python 3.11)
+# must stay under a bound.  A ratio carries across
 # hosts where absolute steps/s do not.  The benchmark alternates the
 # engines' runs and keeps the best of 7 each.  The litmus floor sits
 # just below the lowest of 80 such smoke runs on a busy 2-vCPU host
@@ -33,20 +35,30 @@ REPRO_BENCH_SMOKE=1 python benchmarks/bench_interp_dispatch.py
 # noise alone can rarely trip it.  The floors catch the decoded
 # engine losing a large part of its lead, such as a fallback onto
 # legacy stepping (about 1x); smaller regressions need the full
-# benchmark.
+# benchmark.  The call counts are exact, so their bounds hold on any
+# host: fig7 measured 4.744 calls per step (5.045 before the runtime
+# protocol was bound at decode time) and litmus 2.236; legacy
+# stepping makes about 27 and 22.  The bounds sit 5% and 7% above.
 python - <<'PYEOF'
 import json
 
 FLOORS = {"litmus": 3.5, "fig7": 2.0}
+CALLS_PER_STEP = {"litmus": 2.4, "fig7": 5.0}
 with open("BENCH_interp.smoke.json") as handle:
     workloads = json.load(handle)["workloads"]
 for name, floor in FLOORS.items():
     ratio = workloads[name]["speedup"]
     assert ratio >= floor, \
         f"smoke {name}: decoded {ratio}x legacy, floor {floor}x"
+for name, bound in CALLS_PER_STEP.items():
+    calls = workloads[name]["decoded_calls_per_step"]
+    assert calls <= bound, \
+        f"smoke {name}: {calls} decoded calls per step, bound {bound}"
 print("bench smoke gate: " + ", ".join(
     f"{name} decoded {workloads[name]['speedup']}x legacy "
-    f"(floor {floor}x)" for name, floor in FLOORS.items()) + " OK")
+    f"(floor {floor}x), {workloads[name]['decoded_calls_per_step']} "
+    f"calls/step (bound {CALLS_PER_STEP[name]})"
+    for name, floor in FLOORS.items()) + " OK")
 PYEOF
 rm -f BENCH_interp.smoke.json
 
@@ -173,14 +185,18 @@ print(f"serve smoke: {report['ops']} ops over TCP OK "
 PYEOF
 
 # Served-KV cost smoke: preload 1024 keys, then 256 seeded mixed
-# ops with every reply checked against a dict model. Steps and
-# messages are exact counts, so the gate holds on any host: messages
-# per request must equal the protocol's 911/256 (a change here means
-# the protocol or partition changed), and steps per request must stay
-# at or below 60 (58.11 measured).
+# ops with every reply checked against a dict model. Steps, messages
+# and Python calls are exact counts, so the gate holds on any host:
+# messages per request must equal the protocol's 911/256 (a change
+# here means the protocol or partition changed), steps per request
+# must stay at or below 60 (58.11 measured), and Python calls per
+# request (repro.bench.call_counts, Python 3.11) at or below 450
+# (429.9 measured with the protocol bound at decode time; 809.8
+# before).
 python - <<'PYEOF'
 import random
 
+from repro.bench import call_counts
 from repro.serve.engine import SecureKVEngine, compile_secure_kv
 
 engine = SecureKVEngine(program=compile_secure_kv())
@@ -208,18 +224,29 @@ for _ in range(256):
         ops.append(("delete", key))
         expected.append(1 if model.pop(key, None) is not None else 0)
 steps, messages = engine.steps, engine.runtime.stats.messages
-replies = []
-for start in range(0, len(ops), 16):
-    replies += engine.execute(ops[start:start + 16])
-assert replies == expected, "kv smoke: a reply disagrees with the model"
+
+
+def drive():
+    replies = []
+    for start in range(0, len(ops), 16):
+        replies += engine.execute(ops[start:start + 16])
+    return replies
+
+
+counted = call_counts(drive)
+assert counted["result"] == expected, \
+    "kv smoke: a reply disagrees with the model"
 steps = engine.steps - steps
 messages = engine.runtime.stats.messages - messages
+calls = counted["total"] / len(ops)
 print(f"kv smoke: {len(ops)} ops over {len(keys)} keys, every reply "
       f"checked: {steps / len(ops):.2f} steps/request, "
-      f"{messages / len(ops):.3f} messages/request")
+      f"{messages / len(ops):.3f} messages/request, "
+      f"{calls:.1f} calls/request (Python {counted['python']})")
 assert messages == 911, f"kv smoke: {messages} messages, expected 911"
 assert steps <= 60 * len(ops), \
     f"kv smoke: {steps / len(ops):.2f} steps/request, bound 60"
+assert calls <= 450, f"kv smoke: {calls:.1f} calls/request, bound 450"
 PYEOF
 
 # Sharded-serve smoke: 2 shard-worker processes behind the

@@ -35,11 +35,7 @@ READERS = ("src", "tests", "benchmarks", "perfbench", "scripts", "examples")
 
 #: Definitions that no Python source references, keyed
 #: ``path:qualified name``, each with the reason it stays.
-ALLOWED: Dict[str, str] = {
-    "src/repro/ir/interp.py:Machine.invalidate_decoded":
-        "decided with item 6 (ROADMAP): the documented hook for "
-        "mutating loaded IR mid-run",
-}
+ALLOWED: Dict[str, str] = {}
 
 
 def _imported(tree: ast.Module) -> Iterator[Tuple[str, int]]:

@@ -26,7 +26,7 @@ from repro.ir.types import (
     I1,
     VOID,
 )
-from repro.ir.values import Constant, Value
+from repro.ir.values import Constant, Value, touch_ir
 
 #: Binary opcodes understood by :class:`BinOp`.
 BINARY_OPS = frozenset({
@@ -86,6 +86,7 @@ class Instruction(Value):
         if old not in self.operands:
             old.users.discard(self)
         value.users.add(self)
+        touch_ir()
 
     def _replace_operand(self, old: Value, new: Value) -> None:
         for i, op in enumerate(self.operands):
@@ -93,12 +94,14 @@ class Instruction(Value):
                 self.operands[i] = new
                 new.users.add(self)
         old.users.discard(self)
+        touch_ir()
 
     def drop_operands(self) -> None:
         """Detach this instruction from its operands (when deleting)."""
         for op in set(self.operands):
             op.users.discard(self)
         self.operands = []
+        touch_ir()
 
     # -- classification ------------------------------------------------------
 
@@ -369,6 +372,7 @@ class Phi(Instruction):
     def add_incoming(self, value: Value, block) -> None:
         self._append_operand(value)
         self.incoming_blocks.append(block)
+        touch_ir()
 
     @property
     def incomings(self) -> List[Tuple[Value, object]]:

@@ -24,7 +24,7 @@ from repro.ir.instructions import (
     Phi,
 )
 from repro.ir.types import FunctionType, IRType, PointerType, StructType
-from repro.ir.values import Argument, GlobalVariable, Value
+from repro.ir.values import Argument, GlobalVariable, Value, touch_ir
 
 
 class BasicBlock:
@@ -45,11 +45,13 @@ class BasicBlock:
                 f"{instr.opcode}")
         instr.parent = self
         self.instructions.append(instr)
+        touch_ir()
         return instr
 
     def insert(self, index: int, instr: Instruction) -> Instruction:
         instr.parent = self
         self.instructions.insert(index, instr)
+        touch_ir()
         return instr
 
     @property
@@ -155,6 +157,7 @@ class Function(Value):
         name = self._unique_block_name(name)
         block = BasicBlock(name, self)
         self.blocks.append(block)
+        touch_ir()
         return block
 
     def _unique_block_name(self, base: str) -> str:

@@ -13,6 +13,18 @@ from typing import Optional, Set
 from repro.errors import IRError
 from repro.ir.types import IRType, PointerType, VoidType
 
+#: The IR edit generation: a one-element list (so hot readers can bind
+#: it once) bumped by every edit made through the mutation API —
+#: operand changes, instruction insertion and removal, new blocks and
+#: phi incomings.  The decoded engine (:mod:`repro.ir.engine`)
+#: revalidates its cached code only after it moved.
+IR_GENERATION = [0]
+
+
+def touch_ir() -> None:
+    """Record an edit of the IR (see :data:`IR_GENERATION`)."""
+    IR_GENERATION[0] += 1
+
 
 class Value:
     """Base class of everything that can be an instruction operand."""

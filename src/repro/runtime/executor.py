@@ -18,6 +18,16 @@ emits:
                        running trampolines while blocked
 ``__privagic_token_*`` synchronization-barrier tokens (§7.3.3)
 =====================  ==========================================
+
+The protocol is bound at decode time.  Each action is built once by a
+``bind_*`` method from its endpoint names (chunk, color, reply flag).
+The partitioner names them with string constants, so the decoded
+engine binds each call site once (:mod:`repro.ir.engine`), much as the
+paper's runtime pushes onto an already-resolved queue and starts a
+chunk by function pointer.  The legacy engine's by-address externals
+(:func:`_by_address`) read the names from memory on every call and run
+the same action.  A trampoline reuses its chunk's plan (function,
+F-slot layout, owning color) from the chunk's first delivery.
 """
 
 from __future__ import annotations
@@ -154,12 +164,14 @@ class PrivagicRuntime:
         #: so a long-lived serving runtime still reports its full
         #: measured history.
         self._retired_traffic: Dict[str, Dict[str, int]] = {}
+        #: chunk name -> its trampoline plan (see :meth:`_chunk_plan`).
+        self._plans: Dict[str, Tuple] = {}
         ext = {
-            "__privagic_spawn": self._ext_spawn,
-            "__privagic_send": self._ext_send,
-            "__privagic_recv": self._ext_recv,
-            "__privagic_token_send": self._ext_token_send,
-            "__privagic_token_recv": self._ext_token_recv,
+            "__privagic_spawn": _by_address(2, self.bind_spawn),
+            "__privagic_send": _by_address(1, self.bind_send),
+            "__privagic_recv": _by_address(1, self.bind_recv),
+            "__privagic_token_send": _by_address(1, self.bind_token_send),
+            "__privagic_token_recv": _by_address(1, self.bind_token_recv),
             "thread_create": self._ext_thread_create,
         }
         if externals:
@@ -186,67 +198,88 @@ class PrivagicRuntime:
     def color_of(self, ctx: ExecutionContext) -> str:
         return ctx.mode if ctx.mode is not None else self.untrusted
 
-    # -- externals -------------------------------------------------------------------
+    def _endpoint(self, ctx: ExecutionContext) -> Tuple[WorkerGroup, str]:
+        """``(group_of(ctx), color_of(ctx))`` in one call: the protocol
+        actions' hot path, where the group is almost always set."""
+        try:
+            group = ctx.privagic_group
+        except AttributeError:
+            group = self.group_of(ctx)
+        mode = ctx.mode
+        return group, mode if mode is not None else self.untrusted
 
-    def _ext_spawn(self, machine: Machine, ctx: ExecutionContext, args):
-        chunk = machine.read_cstring(int(args[0]))
-        reply = machine.read_cstring(int(args[1]))
-        f_args = list(args[2:])
-        group = self.group_of(ctx)
+    # -- the protocol ------------------------------------------------------------
+    #
+    # Each action is bound once to its endpoint names (chunk, color,
+    # reply flag) and returns ``action(ctx, rest)``, where ``rest`` is
+    # the call's remaining arguments.  The decoded engine binds when it
+    # decodes a call whose names are string constants; the by-address
+    # externals (:func:`_by_address`) bind on every call.
+
+    def bind_spawn(self, chunk: str, reply: str):
+        """Enqueue a spawn of ``chunk`` (+ its F arguments, one cont
+        message each) to the worker owning the chunk's color; a
+        non-empty ``reply`` asks for the return value back."""
         dst = self.program.chunk_colors.get(chunk)
-        if dst is None:
-            raise RuntimeFault(f"spawn of unknown chunk {chunk!r}")
-        src = self.color_of(ctx)
-        reply_to = src if reply else None
-        group.matrix.channel(src, dst).push(
-            SpawnMessage(chunk, f_args, reply_to))
-        self.stats.spawns += 1
-        # Each F argument is a cont message in the paper's protocol.
-        self.stats.values += len(f_args)
-        self.stats.chunk_event(chunk, "spawns")
-        if f_args:
-            self.stats.chunk_event(chunk, "f_args", len(f_args))
-        self._count_crossing(src, dst, 1 + len(f_args))
-        if self.tracer is not None:
-            self.tracer.spawn(chunk, src, dst, len(f_args))
-        # Make sure the destination worker exists.
-        if dst != self.untrusted:
-            group.worker(dst)
-        return None
+        wants_reply = bool(reply)
+        stats = self.stats
 
-    def _ext_send(self, machine: Machine, ctx: ExecutionContext, args):
-        dst = machine.read_cstring(int(args[0]))
-        value = args[1]
-        src = self.color_of(ctx)
-        group = self.group_of(ctx)
-        group.matrix.channel(src, dst).push(Message("value", value))
-        self.stats.values += 1
-        self._count_crossing(src, dst, 1)
-        return None
+        def spawn(ctx: ExecutionContext, f_args):
+            group, src = self._endpoint(ctx)
+            if dst is None:
+                raise RuntimeFault(f"spawn of unknown chunk {chunk!r}")
+            group.matrix.channel(src, dst).push(
+                SpawnMessage(chunk, f_args, src if wants_reply else None))
+            count = len(f_args)
+            stats.spawns += 1
+            # Each F argument is a cont message in the paper's protocol.
+            stats.values += count
+            stats.chunk_event(chunk, "spawns")
+            if count:
+                stats.chunk_event(chunk, "f_args", count)
+            self._count_crossing(src, dst, 1 + count)
+            if self.tracer is not None:
+                self.tracer.spawn(chunk, src, dst, count)
+            # Make sure the destination worker exists.
+            if dst != self.untrusted:
+                group.worker(dst)
+            return None
+        return spawn
 
-    def _ext_recv(self, machine: Machine, ctx: ExecutionContext, args):
-        src = machine.read_cstring(int(args[0]))
-        return self._wait_for(ctx, src, "value")
+    def bind_send(self, dst: str):
+        """Send an F value (``cont``) to color ``dst``."""
+        def send(ctx: ExecutionContext, rest):
+            group, src = self._endpoint(ctx)
+            group.matrix.channel(src, dst).push(Message("value", rest[0]))
+            self.stats.values += 1
+            self._count_crossing(src, dst, 1)
+            return None
+        return send
 
-    def _ext_token_send(self, machine: Machine, ctx: ExecutionContext,
-                        args):
-        dst = machine.read_cstring(int(args[0]))
-        src = self.color_of(ctx)
-        self.group_of(ctx).matrix.channel(src, dst).push(
-            Message("token"))
-        self.stats.tokens += 1
-        self._count_crossing(src, dst, 1)
-        return None
+    def bind_recv(self, src: str):
+        """Wait for an F value from color ``src``."""
+        def recv(ctx: ExecutionContext, rest):
+            return self._wait_for(ctx, src, "value")
+        return recv
 
-    def _ext_token_recv(self, machine: Machine, ctx: ExecutionContext,
-                        args):
-        src = machine.read_cstring(int(args[0]))
-        result = self._wait_for(ctx, src, "token")
-        if result is BLOCK:
-            return BLOCK
-        if isinstance(result, PushCall):
-            return result
-        return None
+    def bind_token_send(self, dst: str):
+        """Send a synchronization-barrier token to color ``dst``."""
+        def token_send(ctx: ExecutionContext, rest):
+            group, src = self._endpoint(ctx)
+            group.matrix.channel(src, dst).push(Message("token"))
+            self.stats.tokens += 1
+            self._count_crossing(src, dst, 1)
+            return None
+        return token_send
+
+    def bind_token_recv(self, src: str):
+        """Wait for a barrier token from color ``src``."""
+        def token_recv(ctx: ExecutionContext, rest):
+            result = self._wait_for(ctx, src, "token")
+            if result is BLOCK or isinstance(result, PushCall):
+                return result
+            return None
+        return token_recv
 
     def _wait_for(self, ctx: ExecutionContext, src: str, kind: str):
         """Wait for a message of ``kind`` from ``src``; while blocked,
@@ -258,8 +291,7 @@ class PrivagicRuntime:
         skips it until one of them is queued (retrying earlier could
         only re-produce BLOCK, since the wait's outcome depends
         solely on the channel contents)."""
-        group = self.group_of(ctx)
-        me = self.color_of(ctx)
+        group, me = self._endpoint(ctx)
         message = group.matrix.channel(src, me).pop(kind)
         if message is not None:
             ctx.privagic_parked = None
@@ -291,30 +323,27 @@ class PrivagicRuntime:
         over with zero-padding or silent truncation.
         """
         chunk = message.chunk
-        chunk_fn = self.machine.function_named(chunk)
-        me = self.program.chunk_colors.get(chunk, self.untrusted)
-        arg_colors = self.program.chunk_args.get(chunk, ())
-        if len(arg_colors) != len(chunk_fn.args):
-            raise RuntimeFault(
-                f"spawn of chunk {chunk!r}: partition metadata lists "
-                f"{len(arg_colors)} argument color(s) but "
-                f"@{chunk_fn.name} takes {len(chunk_fn.args)}")
-        f_slots = sum(1 for color in arg_colors if color == "F")
-        if len(message.args) != f_slots:
+        plan = self._plans.get(chunk)
+        if plan is None:
+            plan = self._chunk_plan(chunk)
+        chunk_fn, me, n_args, f_slots = plan
+        if len(message.args) != len(f_slots):
             raise RuntimeFault(
                 f"spawn of chunk {chunk!r}: carries "
                 f"{len(message.args)} F value(s) but the signature "
-                f"has {f_slots} F slot(s)")
+                f"has {len(f_slots)} F slot(s)")
         if self.fault_injector is not None:
             # Enclave fault injection fires at the spawn-delivery
             # boundary — before the chunk's first instruction — so a
             # restart can replay the exact same spawn (raises
             # EnclaveCrash when the worker stays down).
             self.fault_injector.on_spawn_delivery(me, chunk)
-        f_values = list(message.args)
-        call_args: List[object] = [
-            f_values.pop(0) if color == "F" else 0
-            for color in arg_colors]
+        if len(f_slots) == n_args:
+            call_args: Sequence[object] = message.args
+        else:
+            call_args = [0] * n_args
+            for slot, value in zip(f_slots, message.args):
+                call_args[slot] = value
         push = PushCall(chunk_fn, call_args, replay=True)
         self.stats.trampoline_runs += 1
         self.stats.chunk_event(chunk, "trampolines")
@@ -334,6 +363,26 @@ class PrivagicRuntime:
 
             push.on_return = reply
         return push
+
+    def _chunk_plan(self, chunk: str) -> Tuple:
+        """``(function, owning color, argument count, F-slot
+        positions)`` of ``chunk``, computed at its first delivery and
+        reused by every later one.  A chunk whose partition metadata
+        disagrees with its signature faults at every delivery and is
+        never planned."""
+        chunk_fn = self.machine.function_named(chunk)
+        me = self.program.chunk_colors.get(chunk, self.untrusted)
+        arg_colors = self.program.chunk_args.get(chunk, ())
+        if len(arg_colors) != len(chunk_fn.args):
+            raise RuntimeFault(
+                f"spawn of chunk {chunk!r}: partition metadata lists "
+                f"{len(arg_colors)} argument color(s) but "
+                f"@{chunk_fn.name} takes {len(chunk_fn.args)}")
+        f_slots = tuple(slot for slot, color in enumerate(arg_colors)
+                        if color == "F")
+        plan = self._plans[chunk] = (chunk_fn, me, len(arg_colors),
+                                     f_slots)
+        return plan
 
     def _ext_thread_create(self, machine: Machine,
                            ctx: ExecutionContext, args):
@@ -418,7 +467,7 @@ class PrivagicRuntime:
             for ctx in snapshot:
                 if ctx.finished:
                     continue
-                if ctx.idle:
+                if not ctx.stack:  # idle
                     if not getattr(ctx, "keep_alive", False):
                         continue
                     group = getattr(ctx, "privagic_group", None)
@@ -587,6 +636,19 @@ class PrivagicRuntime:
         lines += self._context_lines()
         lines += self._channel_lines()
         raise DeadlockFault("\n".join(lines))
+
+
+def _by_address(count: int, bind):
+    """The external of one protocol action, for calls that name their
+    endpoints by C-string address: decode the first ``count``
+    arguments, bind the action to them, run it on the rest.  Its
+    ``endpoints`` attribute lets the decoded engine bind the action
+    once per call site instead (:mod:`repro.ir.engine`)."""
+    def external(machine: Machine, ctx: ExecutionContext, args):
+        names = [machine.read_cstring(int(arg)) for arg in args[:count]]
+        return bind(*names)(ctx, args[count:])
+    external.endpoints = (count, bind)
+    return external
 
 
 def run_partitioned(program: PartitionedProgram, entry: str = "main",
